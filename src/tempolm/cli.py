@@ -189,18 +189,18 @@ def _examples_worker(item):
     return json.dumps(example_to_record(ex), sort_keys=True)
 
 
-def _corpus_setup(args, config, in_path, need_calendar: bool):
+def _corpus_setup(args, config, in_path, need_calendar: bool, stage: str):
     docs = list(read_documents(in_path))
     if not docs:
         raise ConfigError("input corpus is empty")
     span = CorpusSpan.parse(args.span) if args.span else derive_corpus_span(docs)
     calendar = None
     if args.calendar:
-        calendar = EntityCalendar.load(_require(args.calendar, "examples"))
+        calendar = EntityCalendar.load(_require(args.calendar, stage))
     elif need_calendar:
         calendar = build_entity_calendar(docs)
     if args.vocab:
-        vocab = Vocabulary.loads(Path(_require(args.vocab, "examples")).read_text(encoding="utf-8"))
+        vocab = Vocabulary.loads(Path(_require(args.vocab, stage)).read_text(encoding="utf-8"))
     else:
         vocab_size = _config_get(args, config, "vocab_size", int, 512)
         vocab = build_vocab([d.text for d in docs], target_size=vocab_size)
@@ -211,7 +211,7 @@ def cmd_examples(args) -> int:
     config = _load_config(args)
     in_path = _require(args.in_path, "examples")
     objectives = _parse_objectives(args.objectives)
-    docs, span, calendar, vocab = _corpus_setup(args, config, in_path, Objective.TSER in objectives)
+    docs, span, calendar, vocab = _corpus_setup(args, config, in_path, Objective.TSER in objectives, "examples")
     seed = _effective_seed(args, config)
     manifest = ManifestWriter("examples", {
         "objectives": sorted(o.value for o in objectives), "seed": seed, "epoch": args.epoch,
@@ -239,7 +239,7 @@ def cmd_pretrain(args) -> int:
     config = _load_config(args)
     in_path = _require(args.in_path, "pretrain")
     objectives = _parse_objectives(args.objectives)
-    docs, span, calendar, vocab = _corpus_setup(args, config, in_path, Objective.TSER in objectives)
+    docs, span, calendar, vocab = _corpus_setup(args, config, in_path, Objective.TSER in objectives, "pretrain")
     seed = _effective_seed(args, config)
     enc_config = EncoderConfig(
         layers=_config_get(args, config, "layers", int, 2),
@@ -275,7 +275,7 @@ def cmd_pretrain(args) -> int:
     loss_path = f"{args.out_path}.loss.jsonl"
     with open(loss_path, "w", encoding="utf-8") as fh:
         for log in logs:
-            fh.write(json.dumps({"step": log.step, "loss": log.loss, **log.parts}, sort_keys=True))
+            fh.write(json.dumps({"step": log.step, "loss": log.loss, **log.parts}, sort_keys=True, allow_nan=False))
             fh.write("\n")
     manifest.add_output(args.out_path)
     manifest.add_output(loss_path)

@@ -10,7 +10,9 @@ of the per-task mean cross-entropies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -49,19 +51,17 @@ class EncoderConfig:
     def np_dtype(self):
         return np.float32 if self.dtype == "float32" else np.float64
 
+    @property
+    def pack_len(self) -> int:
+        """Token budget of one packed training sequence (see ``pack_sequences``)."""
+        return 2 * self.max_len
+
     def to_json(self) -> dict:
         return asdict(self)
 
     @staticmethod
     def from_json(data: dict) -> "EncoderConfig":
         return EncoderConfig(**data)
-
-
-# full-scale preset kept for reference; tests use the small default
-PRESETS = {
-    "desk": EncoderConfig(),
-    "base": EncoderConfig(layers=12, hidden_dim=768, heads=12, ffn_dim=3072, max_len=512),
-}
 
 
 def init_params(config: EncoderConfig) -> Params:
@@ -111,7 +111,7 @@ def init_params(config: EncoderConfig) -> Params:
     return params
 
 
-def _attention(x: Var, pv: dict[str, Var], config: EncoderConfig) -> Var:
+def _attention(x: Var, pv: dict[str, Var], config: EncoderConfig, mask: np.ndarray | None) -> Var:
     n = x.shape[0]
     h, heads = config.hidden_dim, config.heads
     dh = h // heads
@@ -125,8 +125,9 @@ def _attention(x: Var, pv: dict[str, Var], config: EncoderConfig) -> Var:
     q = split_heads(proj("attn.wq", "attn.bq"))
     k = split_heads(proj("attn.wk", "attn.bk"))
     v = split_heads(proj("attn.wv", "attn.bv"))
-    scores = ad.scale(ad.matmul(q, ad.swapaxes(k, 1, 2)), 1.0 / np.sqrt(dh))
-    probs = ad.softmax(scores, axis=-1)
+    # a Python float: a numpy float64 scalar would promote float32 scores to float64
+    scores = ad.scale(ad.matmul(q, ad.swapaxes(k, 1, 2)), 1.0 / math.sqrt(dh))
+    probs = ad.softmax(scores, axis=-1, mask=mask)
     ctx = ad.reshape(ad.swapaxes(ad.matmul(probs, v), 0, 1), (n, h))
     return ad.add(ad.matmul(ctx, pv["attn.wo"]), pv["attn.bo"])
 
@@ -140,20 +141,54 @@ def wrap_params(params: Params) -> dict[str, Var]:
     return {name: Var(arr) for name, arr in params.items()}
 
 
+def pack_sequences(lengths: Sequence[int], budget: int) -> list[list[int]]:
+    """Group sequence indices, in order, into packs of at most ``budget`` tokens.
+
+    A pack closes when the next sequence would overflow it; a sequence longer
+    than the budget forms a pack of its own.
+    """
+    packs: list[list[int]] = []
+    used = budget
+    for i, n in enumerate(lengths):
+        if used + n > budget:
+            packs.append([])
+            used = 0
+        packs[-1].append(i)
+        used += n
+    return packs
+
+
 def encode_forward(
     input_ids: list[int] | np.ndarray,
     config: EncoderConfig,
     pvars: dict[str, Var],
     train: bool = False,
     dropout_rng: np.random.Generator | None = None,
+    segments: Sequence[int] | None = None,
 ) -> Var:
-    """Hidden states (seq_len, hidden_dim) for one id sequence."""
+    """Hidden states (seq_len, hidden_dim) for one id sequence or a pack of them.
+
+    ``segments`` gives the lengths of the sequences packed end to end into
+    ``input_ids``; by default the ids are one sequence. Each segment has its
+    own positions from 0 and attends only within itself, so its states equal
+    those of the segment encoded alone, up to rounding.
+    """
     ids = np.asarray(input_ids, dtype=np.int64)
     n = ids.shape[0]
-    if n > config.max_len:
-        raise SequenceTooLongError(f"sequence of length {n} exceeds max_len {config.max_len}")
+    lengths = np.asarray([n] if segments is None else segments, dtype=np.int64)
+    if lengths.sum() != n or (lengths < 0).any():
+        raise ConfigError(f"segment lengths {lengths.tolist()} do not partition {n} ids")
+    longest = int(lengths.max()) if lengths.size else 0
+    if longest > config.max_len:
+        raise SequenceTooLongError(f"sequence of length {longest} exceeds max_len {config.max_len}")
     if n and (ids.min() < 0 or ids.max() >= config.vocab_size):
         raise ConfigError("input id outside vocabulary")
+    starts = np.cumsum(lengths) - lengths
+    positions = np.arange(n) - np.repeat(starts, lengths)
+    mask = None
+    if lengths.size > 1:
+        segment_of = np.repeat(np.arange(lengths.size), lengths)
+        mask = np.where(segment_of[:, None] == segment_of[None, :], 0.0, -1e9).astype(config.np_dtype)
 
     def maybe_dropout(v: Var) -> Var:
         if train and config.dropout > 0.0:
@@ -162,18 +197,18 @@ def encode_forward(
             return ad.dropout(v, config.dropout, dropout_rng)
         return v
 
-    x = ad.add(ad.gather_rows(pvars["tok_emb"], ids), ad.gather_rows(pvars["pos_emb"], np.arange(n)))
+    x = ad.add(ad.gather_rows(pvars["tok_emb"], ids), ad.gather_rows(pvars["pos_emb"], positions))
     x = maybe_dropout(x)
     for l in range(config.layers):
         p = f"layer{l}."
         layer = {k[len(p):]: v for k, v in pvars.items() if k.startswith(p)}
         if config.pre_norm:
-            a = _attention(ad.layer_norm(x, layer["ln1.gamma"], layer["ln1.beta"]), layer, config)
+            a = _attention(ad.layer_norm(x, layer["ln1.gamma"], layer["ln1.beta"]), layer, config, mask)
             x = ad.add(x, maybe_dropout(a))
             f = _ffn(ad.layer_norm(x, layer["ln2.gamma"], layer["ln2.beta"]), layer)
             x = ad.add(x, maybe_dropout(f))
         else:
-            a = _attention(x, layer, config)
+            a = _attention(x, layer, config, mask)
             x = ad.layer_norm(ad.add(x, maybe_dropout(a)), layer["ln1.gamma"], layer["ln1.beta"])
             f = _ffn(x, layer)
             x = ad.layer_norm(ad.add(x, maybe_dropout(f)), layer["ln2.gamma"], layer["ln2.beta"])
@@ -188,12 +223,15 @@ def multitask_heads(
     mlm_positions: list[int] | None = None,
     replacement_spans: list[tuple[int, int]] | None = None,
     with_dd: bool = False,
+    cls_rows: Sequence[int] = (0,),
 ) -> dict[str, Var]:
     """Logits for the requested heads.
 
     ``replacement_spans`` are (first, last) token positions, inclusive, of
     each span; their states are concatenated as the boundary representation.
-    A single-token span uses the same state twice.
+    A single-token span uses the same state twice. The dating head reads the
+    states at ``cls_rows``: position 0 of a single sequence, or the start of
+    each dated segment of a pack. All positions are rows of ``hidden``.
     """
     n = hidden.shape[0]
     out: dict[str, Var] = {}
@@ -204,8 +242,10 @@ def multitask_heads(
         states = ad.gather_rows(hidden, pos)
         out["mlm"] = ad.add(ad.matmul(states, pvars["mlm.w"]), pvars["mlm.b"])
     if with_dd:
-        cls_state = ad.gather_rows(hidden, np.asarray([0], dtype=np.int64))
-        out["dd"] = ad.add(ad.matmul(cls_state, pvars["dd.w"]), pvars["dd.b"])
+        rows = np.asarray(cls_rows, dtype=np.int64)
+        if rows.min() < 0 or rows.max() >= n:
+            raise SpanBoundsError(f"dating row outside sequence of length {n}")
+        out["dd"] = ad.add(ad.matmul(ad.gather_rows(hidden, rows), pvars["dd.w"]), pvars["dd.b"])
     if replacement_spans:
         firsts = np.asarray([s[0] for s in replacement_spans], dtype=np.int64)
         lasts = np.asarray([s[1] for s in replacement_spans], dtype=np.int64)
@@ -219,24 +259,27 @@ def multitask_heads(
 def joint_loss(
     heads: dict[str, Var],
     mlm_targets: list[int] | None = None,
-    dd_target: int | None = None,
+    dd_target: int | Sequence[int] | None = None,
     replacement_labels: list[int] | None = None,
+    weights: dict[str, Sequence[float]] | None = None,
 ) -> tuple[Var, dict[str, float]]:
-    """Unweighted sum of per-task mean cross-entropies; absent tasks add 0."""
+    """Unweighted sum of per-task cross-entropies; absent tasks add 0.
+
+    Each task's loss is the mean over its rows, or, when ``weights`` has an
+    entry for the head, the weighted sum of its per-row losses. A pack uses
+    the weights to keep the per-example means. ``dd_target`` is one class,
+    or one class per dating row.
+    """
+    weights = weights or {}
     parts: list[Var] = []
     logged: dict[str, float] = {}
-    if mlm_targets:
-        ce = ad.cross_entropy(heads["mlm"], np.asarray(mlm_targets))
+    for head, targets in (("mlm", mlm_targets), ("dd", dd_target), ("repl", replacement_labels)):
+        rows = np.atleast_1d(np.asarray([] if targets is None else targets, dtype=np.int64))
+        if not rows.size:
+            continue
+        ce = ad.cross_entropy(heads[head], rows, weights.get(head))
         parts.append(ce)
-        logged["mlm"] = float(ce.value)
-    if dd_target is not None:
-        ce = ad.cross_entropy(heads["dd"], np.asarray([dd_target]))
-        parts.append(ce)
-        logged["dd"] = float(ce.value)
-    if replacement_labels:
-        ce = ad.cross_entropy(heads["repl"], np.asarray(replacement_labels))
-        parts.append(ce)
-        logged["repl"] = float(ce.value)
+        logged[head] = float(ce.value)
     if not parts:
         zero = Var(np.asarray(0.0))
         return zero, {}

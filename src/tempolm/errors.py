@@ -37,6 +37,15 @@ class SpanBoundsError(TempoError):
     """A span index lies outside the hidden-state sequence."""
 
 
+class DivergenceError(TempoError):
+    """Training produced a non-finite loss or gradient norm."""
+
+    def __init__(self, step: int, what: str, where: str):
+        super().__init__(f"training diverged at step {step}: non-finite {what} in {where}")
+        self.step = step
+        self.where = where
+
+
 class IncompatibleCheckpointError(TempoError):
     """A checkpoint was written by an incompatible format version."""
 

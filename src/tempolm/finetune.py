@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .checkpoint import EncoderCheckpoint
-from .encoder import EncoderConfig, Params, collect_grads, encode_forward, wrap_params
+from .encoder import EncoderConfig, Params, collect_grads, encode_forward, pack_sequences, wrap_params
 from .errors import ConfigError
 from .optim import AdamW
 from .timescale import TimeLabel
@@ -101,23 +101,23 @@ def _train_one(
     optimizer = AdamW(params, lr=lr, weight_decay=0.01)
     n = len(train_ids)
     for epoch in range(epochs):
-        order = _finetune_rng(seed, f"order{epoch}").permutation(n)
+        order = _finetune_rng(seed, f"order{epoch}").permutation(n).tolist()
         for start in range(0, n, batch_size):
             batch = order[start : start + batch_size]
             grads = {k: np.zeros_like(v) for k, v in params.items()}
-            losses = []
-            for i in batch:
+            for pack in pack_sequences([len(train_ids[i]) for i in batch], config.pack_len):
+                seqs = [train_ids[batch[j]] for j in pack]
+                segments = [len(ids) for ids in seqs]
                 pvars = wrap_params(params)
-                hidden = encode_forward(train_ids[int(i)], config, pvars)
-                cls_state = ad.gather_rows(hidden, np.asarray([0]))
+                hidden = encode_forward(np.concatenate(seqs), config, pvars, segments=segments)
+                cls_state = ad.gather_rows(hidden, np.cumsum(segments) - segments)
                 logits = ad.add(ad.matmul(cls_state, pvars["cls.w"]), pvars["cls.b"])
-                loss = ad.cross_entropy(logits, np.asarray([train_golds[int(i)]]))
+                # each example's loss weighted 1/len(batch): the batch mean
+                loss = ad.cross_entropy(logits, [train_golds[batch[j]] for j in pack],
+                                        np.full(len(pack), 1.0 / len(batch)))
                 ad.backward(loss)
                 for name, g in collect_grads(pvars).items():
                     grads[name] += g
-                losses.append(float(loss.value))
-            for name in grads:
-                grads[name] /= max(len(batch), 1)
             optimizer.step(grads)
     return params
 

@@ -24,12 +24,10 @@ to parallelize over documents.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -464,19 +462,3 @@ def example_to_record(ex: TrainingExample) -> dict:
         "objectives": sorted(o.value for o in ex.objectives),
     }
 
-
-def write_examples(examples: Iterable[TrainingExample], path: str | Path) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(json.dumps(example_to_record(ex), sort_keys=True))
-            fh.write("\n")
-            count += 1
-    return count
-
-
-def read_example_records(path: str | Path) -> Iterator[dict]:
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                yield json.loads(line)

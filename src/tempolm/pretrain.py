@@ -2,18 +2,24 @@
 
 Examples are generated dynamically per epoch (fresh masking stream per
 (document, epoch) pair), losses averaged over the effective batch, and
-parameters updated with AdamW. Gradient accumulation walks micro-batches in
-a fixed order so results do not depend on scheduling.
+parameters updated with AdamW. Each optimizer step builds all
+``batch_size * grad_accum`` of its examples, drops the target-free ones and
+packs the rest, in stream order, into sequences of at most
+``config.pack_len`` tokens, one forward and backward pass per pack. The loss
+stays a mean within each example, then a mean over the step's examples, and
+the packs do not depend on how the step splits into micro-batches.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .annotate import AnnotatedDocument
+from .autodiff import Var
 from .corpus import EntityCalendar
 from .encoder import (
     EncoderConfig,
@@ -23,9 +29,10 @@ from .encoder import (
     init_params,
     joint_loss,
     multitask_heads,
+    pack_sequences,
     wrap_params,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DivergenceError
 from .lexicon import SignalLexicon
 from .objectives import Objective, SamplingRates, TrainingExample, build_training_example
 from .optim import AdamW
@@ -56,28 +63,53 @@ class StepLog:
     parts: dict[str, float] = field(default_factory=dict)
 
 
-def example_loss(ex: TrainingExample, config: EncoderConfig, params: Params) -> tuple:
-    """Forward pass and joint loss for one example; None when target-free."""
-    positions = sorted(ex.mlm_targets)
-    spans = [(d.sub_start, d.sub_end - 1) for d in ex.replacement_targets]
-    labels = [d.label for d in ex.replacement_targets]
-    if not positions and ex.dd_index is None and not spans:
-        return None, None, None
-    pvars = wrap_params(params)
-    hidden = encode_forward(ex.input_ids, config, pvars)
+def _has_targets(ex: TrainingExample) -> bool:
+    return bool(ex.mlm_targets) or ex.dd_index is not None or bool(ex.replacement_targets)
+
+
+def pack_loss(
+    pack: list[TrainingExample], n_eff: int, config: EncoderConfig, pvars: dict[str, Var],
+) -> tuple[Var, dict[str, float]]:
+    """Forward pass and joint loss of examples packed into one sequence.
+
+    Each row of a head is weighted ``1 / (k * n_eff)``, with ``k`` the
+    example's rows on that head, so the loss is the sum over the pack of each
+    example's mean per-task loss, divided by the step's ``n_eff`` examples.
+    """
+    ids: list[int] = []
+    mlm_rows, mlm_targets, mlm_weights = [], [], []
+    dd_rows, dd_targets = [], []
+    spans, labels, repl_weights = [], [], []
+    for ex in pack:
+        start = len(ids)
+        ids.extend(ex.input_ids)
+        for p in sorted(ex.mlm_targets):
+            mlm_rows.append(start + p)
+            mlm_targets.append(ex.mlm_targets[p])
+            mlm_weights.append(1.0 / (len(ex.mlm_targets) * n_eff))
+        if ex.dd_index is not None:
+            dd_rows.append(start)
+            dd_targets.append(ex.dd_index)
+        for d in ex.replacement_targets:
+            spans.append((start + d.sub_start, start + d.sub_end - 1))
+            labels.append(d.label)
+            repl_weights.append(1.0 / (len(ex.replacement_targets) * n_eff))
+    hidden = encode_forward(np.asarray(ids, dtype=np.int64), config, pvars,
+                            segments=[len(ex.input_ids) for ex in pack])
     heads = multitask_heads(
         hidden, pvars,
-        mlm_positions=positions or None,
+        mlm_positions=mlm_rows or None,
         replacement_spans=spans or None,
-        with_dd=ex.dd_index is not None,
+        with_dd=bool(dd_rows),
+        cls_rows=dd_rows,
     )
-    loss, parts = joint_loss(
+    return joint_loss(
         heads,
-        mlm_targets=[ex.mlm_targets[p] for p in positions] or None,
-        dd_target=ex.dd_index,
+        mlm_targets=mlm_targets or None,
+        dd_target=dd_targets or None,
         replacement_labels=labels or None,
+        weights={"mlm": mlm_weights, "dd": [1.0 / n_eff] * len(dd_rows), "repl": repl_weights},
     )
-    return loss, parts, pvars
 
 
 def _example_stream(
@@ -130,29 +162,32 @@ def pretrain(
     per_step = settings.batch_size * settings.grad_accum
 
     for step in range(settings.steps):
+        examples = [ex for ex in (next(stream) for _ in range(per_step)) if _has_targets(ex)]
+        n_eff = max(len(examples), 1)
         grads: Params = {k: np.zeros_like(v) for k, v in params.items()}
-        losses: list[float] = []
+        loss = 0.0
         parts_sum: dict[str, float] = {}
-        used = 0
-        while used < per_step:
-            ex = next(stream)
-            loss, parts, pvars = example_loss(ex, config, params)
-            used += 1
-            if loss is None:
-                continue
-            ad.backward(loss)
+        for pack in pack_sequences([len(ex.input_ids) for ex in examples], config.pack_len):
+            pvars = wrap_params(params)
+            total, parts = pack_loss([examples[i] for i in pack], n_eff, config, pvars)
+            ad.backward(total)
             for name, g in collect_grads(pvars).items():
                 grads[name] += g
-            losses.append(float(loss.value))
+            loss += parts.pop("total")
             for k, v in parts.items():
                 parts_sum[k] = parts_sum.get(k, 0.0) + v
-        n_eff = max(len(losses), 1)
-        for name in grads:
-            grads[name] /= n_eff
+        _check_finite(step, loss, parts_sum, grads)
         optimizer.step(grads)
-        logs.append(StepLog(
-            step=step,
-            loss=float(np.mean(losses)) if losses else 0.0,
-            parts={k: v / n_eff for k, v in parts_sum.items()},
-        ))
+        logs.append(StepLog(step=step, loss=loss, parts=parts_sum))
     return params, optimizer, logs
+
+
+def _check_finite(step: int, loss: float, parts: dict[str, float], grads: Params) -> None:
+    """Raise ``DivergenceError`` before a non-finite loss or gradient reaches the weights."""
+    if not math.isfinite(loss):
+        head = next((k for k, v in sorted(parts.items()) if not math.isfinite(v)), "total")
+        raise DivergenceError(step, "loss", f"head '{head}'")
+    # the global norm is finite exactly when every entry is
+    for name in sorted(grads):
+        if not np.isfinite(grads[name]).all():
+            raise DivergenceError(step, "gradient norm", f"parameter '{name}'")

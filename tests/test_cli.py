@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
-from tempolm.cli import main
+from tempolm.cli import build_parser, main
+from tempolm.errors import DependencyMissingError
 from tempolm.manifest import parse_config_file, sha256_file
 from tempolm.synth import generate_corpus, generate_event_instances
 
@@ -69,6 +71,29 @@ def test_missing_upstream_artifact_exit_2(tmp_path, capsys):
     code = run("refine", "--in", tmp_path / "missing.jsonl", "--out", tmp_path / "o.jsonl")
     assert code == 2
     assert "missing artifact" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage", ["examples", "pretrain"])
+def test_missing_vocab_names_the_calling_stage(workdir, tmp_path, stage):
+    args = build_parser().parse_args([
+        stage, "--in", str(workdir / "ref.jsonl"), "--out", str(tmp_path / "out"),
+        "--objectives", "etamlm", "--vocab", str(tmp_path / "missing.json"),
+    ])
+    with pytest.raises(DependencyMissingError) as caught:
+        args.func(args)
+    assert caught.value.stage == stage
+
+
+def test_divergent_pretrain_exits_2_and_writes_nothing(workdir, tmp_path, capsys):
+    with np.errstate(all="ignore"):
+        code = run(
+            "pretrain", "--in", workdir / "ref.jsonl", "--out", tmp_path / "model.tlm",
+            "--steps", 6, "--batch-size", 4, "--grad-accum", 1, "--lr", "1e4",
+            "--hidden-dim", 32, "--ffn-dim", 48, "--layers", 1, "--max-len", 64, "--seed", 3,
+        )
+    assert code == 2
+    assert "diverged at step" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == []
 
 
 def test_examples_deterministic_across_runs_and_jobs(workdir, tmp_path):

@@ -12,6 +12,7 @@ from tempolm.encoder import (
     init_params,
     joint_loss,
     multitask_heads,
+    pack_sequences,
     wrap_params,
 )
 from tempolm.errors import (
@@ -349,3 +350,111 @@ def test_checkpoint_with_optimizer_state(tmp_path):
     loaded = checkpoint_load(path)
     assert loaded.optimizer_step == 1
     assert set(loaded.optimizer) == set(ckpt.optimizer)
+
+
+# -- packed sequences and dtypes ----------------------------------------------
+
+# three examples: ids, mlm position -> target, dd class, replacement spans and labels
+PACK_EXAMPLES = (
+    ([2, 15, 7, 30, 4, 9, 21, 3], {1: 5, 3: 8, 6: 2}, 4, [(2, 2), (4, 5)], [1, 0]),
+    ([1, 11, 12, 13, 40], {2: 7}, 1, [(1, 3)], [1]),
+    ([5, 6, 44, 8, 17, 26, 35, 10, 19, 22, 31], {4: 9, 9: 3}, 0, [], []),
+)
+
+
+def _single_loss(params, config, ids, mlm, dd, spans, labels):
+    pvars = wrap_params(params)
+    hidden = encode_forward(ids, config, pvars)
+    positions = sorted(mlm)
+    heads = multitask_heads(hidden, pvars, mlm_positions=positions, replacement_spans=spans or None, with_dd=True)
+    loss, _ = joint_loss(heads, mlm_targets=[mlm[p] for p in positions], dd_target=dd,
+                         replacement_labels=labels or None)
+    return loss, pvars
+
+
+def _packed_loss(params, config, examples):
+    ids, segments, rows, targets, mlm_w, cls_rows, dds, spans, labels, repl_w = ([] for _ in range(10))
+    for ex_ids, mlm, dd, ex_spans, ex_labels in examples:
+        start = len(ids)
+        ids += ex_ids
+        segments.append(len(ex_ids))
+        for p in sorted(mlm):
+            rows.append(start + p)
+            targets.append(mlm[p])
+            mlm_w.append(1.0 / len(mlm))
+        cls_rows.append(start)
+        dds.append(dd)
+        spans += [(start + a, start + b) for a, b in ex_spans]
+        labels += ex_labels
+        repl_w += [1.0 / len(ex_spans) for _ in ex_spans]
+    pvars = wrap_params(params)
+    hidden = encode_forward(ids, config, pvars, segments=segments)
+    heads = multitask_heads(hidden, pvars, mlm_positions=rows, replacement_spans=spans,
+                            with_dd=True, cls_rows=cls_rows)
+    loss, _ = joint_loss(heads, mlm_targets=targets, dd_target=dds, replacement_labels=labels,
+                         weights={"mlm": mlm_w, "dd": [1.0] * len(dds), "repl": repl_w})
+    return loss, pvars
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_forward_heads_and_gradients_keep_the_config_dtype(dtype):
+    config = small_config(dtype=dtype)
+    params = init_params(config)
+    loss, pvars = _packed_loss(params, config, PACK_EXAMPLES)
+    hidden = encode_forward(PACK_EXAMPLES[0][0], config, pvars)
+    heads = multitask_heads(hidden, pvars, mlm_positions=[1], replacement_spans=[(2, 3)], with_dd=True)
+    ad.backward(loss)
+    want = np.dtype(dtype)
+    assert hidden.value.dtype == want
+    assert {name: h.value.dtype for name, h in heads.items()} == {"mlm": want, "dd": want, "repl": want}
+    assert loss.value.dtype == want
+    assert {name: g.dtype for name, g in collect_grads(pvars).items()} == {name: want for name in params}
+
+
+@pytest.mark.parametrize("pre_norm", [True, False])
+def test_packed_loss_and_gradients_equal_sum_over_single_sequences(pre_norm):
+    config = small_config(pre_norm=pre_norm)
+    params = init_params(config)
+    total, grads = 0.0, {name: np.zeros_like(p) for name, p in params.items()}
+    for ex in PACK_EXAMPLES:
+        loss, pvars = _single_loss(params, config, *ex)
+        ad.backward(loss)
+        total += float(loss.value)
+        for name, g in collect_grads(pvars).items():
+            grads[name] += g
+    packed, pvars = _packed_loss(params, config, PACK_EXAMPLES)
+    ad.backward(packed)
+    np.testing.assert_allclose(float(packed.value), total, rtol=1e-5)
+    for name, g in collect_grads(pvars).items():
+        # attn.bk's true gradient is 0 (softmax is shift-invariant): only rounding noise shows there
+        np.testing.assert_allclose(g, grads[name], rtol=1e-5, atol=1e-12, err_msg=name)
+
+
+def test_packed_segments_do_not_attend_to_each_other():
+    config = small_config()
+    pvars = wrap_params(init_params(config))
+    first, second = [2, 15, 7, 30, 4], [9, 21, 3]
+    a = encode_forward(first + second, config, pvars, segments=[5, 3]).value
+    b = encode_forward(first + [40, 41, 42], config, pvars, segments=[5, 3]).value
+    alone = encode_forward(first, config, pvars).value
+    np.testing.assert_allclose(b[:5], a[:5], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(a[:5], alone, rtol=1e-10, atol=1e-12)
+    # positions restart at 0 in each segment
+    np.testing.assert_allclose(a[5:], encode_forward(second, config, pvars).value, rtol=1e-10, atol=1e-12)
+
+
+def test_max_len_applies_to_each_segment():
+    config = small_config()
+    pvars = wrap_params(init_params(config))
+    hidden = encode_forward(list(range(40)), config, pvars, segments=[20, 20])
+    assert hidden.shape == (40, config.hidden_dim)
+    with pytest.raises(SequenceTooLongError):
+        encode_forward(list(range(35)), config, pvars, segments=[2, 33])
+    with pytest.raises(ConfigError):
+        encode_forward(list(range(10)), config, pvars, segments=[4, 4])
+
+
+def test_pack_sequences_fills_in_order_up_to_the_budget():
+    assert pack_sequences([5, 3, 4, 8, 1], 8) == [[0, 1], [2], [3], [4]]
+    assert pack_sequences([10, 2], 8) == [[0], [1]]
+    assert pack_sequences([], 8) == []

@@ -1,16 +1,28 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from tempolm import autodiff as ad
 from tempolm.annotate import annotate_document
 from tempolm.checkpoint import EncoderCheckpoint
 from tempolm.corpus import build_entity_calendar, derive_corpus_span, refine_corpus, split_dataset
 from tempolm.datasets import record_to_instance
-from tempolm.encoder import EncoderConfig
-from tempolm.errors import ConfigError
+from tempolm.encoder import (
+    EncoderConfig,
+    collect_grads,
+    encode_forward,
+    init_params,
+    joint_loss,
+    multitask_heads,
+    pack_sequences,
+    wrap_params,
+)
+from tempolm.errors import ConfigError, DivergenceError
 from tempolm.finetune import LabeledInstance, finetune_classifier
 from tempolm.metrics import metric_acc
 from tempolm.objectives import Objective
-from tempolm.pretrain import PretrainSettings, pretrain
+from tempolm.pretrain import PretrainSettings, _example_stream, _has_targets, pack_loss, pretrain
 from tempolm.synth import generate_corpus, generate_event_instances
 from tempolm.timescale import CorpusSpan, Granularity, TimeLabel, TimePoint
 from tempolm.vocab import build_vocab
@@ -83,6 +95,60 @@ def test_gradient_accumulation_matches_larger_batch(tiny_setup):
     assert [round(l.loss, 10) for l in la] == [round(l.loss, 10) for l in lb]
     for name in pa:
         np.testing.assert_allclose(pa[name], pb[name], rtol=1e-6, atol=1e-7)
+
+
+def test_pretrain_divergence_raises_before_the_update(tiny_setup):
+    docs, span, calendar, vocab, config = tiny_setup
+    settings = PretrainSettings(
+        objectives=frozenset({Objective.ETAMLM, Objective.DD, Objective.TSER}),
+        seed=3, steps=6, batch_size=4, lr=1e4,
+    )
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as caught:
+        pretrain(docs, vocab, config, settings, span=span, calendar=calendar)
+    assert 0 < caught.value.step < 6
+    assert f"step {caught.value.step}" in str(caught.value)
+
+
+def test_packed_step_loss_equals_mean_of_per_example_losses(tiny_setup):
+    docs, span, calendar, vocab, config = tiny_setup
+    config = replace(config, dtype="float64")
+    settings = PretrainSettings(
+        objectives=frozenset({Objective.ETAMLM, Objective.DD, Objective.TSER}), seed=4, batch_size=12,
+    )
+    stream = _example_stream(docs, settings, vocab, span, calendar, None, config.max_len)
+    examples = [ex for ex in (next(stream) for _ in range(12)) if _has_targets(ex)]
+    params = init_params(config)
+
+    # reference: each example alone, its per-task means summed, then the mean over examples
+    losses, grads = [], {name: np.zeros_like(p) for name, p in params.items()}
+    for ex in examples:
+        pvars = wrap_params(params)
+        positions = sorted(ex.mlm_targets)
+        spans = [(d.sub_start, d.sub_end - 1) for d in ex.replacement_targets]
+        heads = multitask_heads(encode_forward(ex.input_ids, config, pvars), pvars,
+                                mlm_positions=positions or None, replacement_spans=spans or None,
+                                with_dd=ex.dd_index is not None)
+        loss, _ = joint_loss(heads, mlm_targets=[ex.mlm_targets[p] for p in positions] or None,
+                             dd_target=ex.dd_index,
+                             replacement_labels=[d.label for d in ex.replacement_targets] or None)
+        ad.backward(loss)
+        losses.append(float(loss.value))
+        for name, g in collect_grads(pvars).items():
+            grads[name] += g / len(examples)
+
+    packs = pack_sequences([len(ex.input_ids) for ex in examples], config.pack_len)
+    assert 1 < len(packs) < len(examples)
+    packed, packed_grads = 0.0, {name: np.zeros_like(p) for name, p in params.items()}
+    for pack in packs:
+        pvars = wrap_params(params)
+        loss, _ = pack_loss([examples[i] for i in pack], len(examples), config, pvars)
+        ad.backward(loss)
+        packed += float(loss.value)
+        for name, g in collect_grads(pvars).items():
+            packed_grads[name] += g
+    assert packed == pytest.approx(np.mean(losses), rel=1e-10)
+    for name in params:
+        np.testing.assert_allclose(packed_grads[name], grads[name], rtol=1e-7, atol=1e-12, err_msg=name)
 
 
 def _leak_checkpoint(tiny_setup, steps=60):
