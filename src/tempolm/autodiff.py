@@ -165,13 +165,6 @@ def softmax(a: Var, axis: int = -1, mask: np.ndarray | None = None) -> Var:
     return Var(s, (a,), backward)
 
 
-def dropout(a: Var, rate: float, rng: np.random.Generator) -> Var:
-    if rate <= 0.0:
-        return a
-    keep = (rng.random(a.value.shape) >= rate).astype(a.value.dtype) / (1.0 - rate)
-    return Var(a.value * keep, (a,), lambda g: (g * keep,))
-
-
 def cross_entropy(logits: Var, targets: np.ndarray, weights: np.ndarray | None = None) -> Var:
     """Cross-entropy of integer targets against logit rows.
 

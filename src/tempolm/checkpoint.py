@@ -22,7 +22,7 @@ from .errors import ChecksumFailureError, IncompatibleCheckpointError
 from .vocab import Vocabulary
 
 MAGIC = b"TLMCKPT\x00"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # version-1 headers hold an encoder `dropout` field that EncoderConfig no longer has
 
 
 @dataclass

@@ -34,7 +34,7 @@ from .corpus import (
 from .datasets import derive_task_span, read_task_records, record_to_instance
 from .encoder import EncoderConfig
 from .errors import ConfigError, DependencyMissingError, TempoError
-from .finetune import DEFAULT_GRID, FinetunedModel, finetune_classifier
+from .finetune import DEFAULT_GRID, FinetunedModel, finetune_classifier, model_text
 from .lexicon import SignalLexicon
 from .manifest import ManifestWriter, parse_config_file
 from .metrics import MetricReport, metric_acc, metric_mae, two_tailed_ttest
@@ -129,8 +129,7 @@ def cmd_annotate(args) -> int:
                 if line.strip():
                     rec = json.loads(line)
                     sidecar[rec["doc_id"]] = rec["persons"]
-    manifest = ManifestWriter("annotate", {"persons": args.persons, "jobs": args.jobs})
-    manifest.add_input(in_path)
+    manifest = ManifestWriter("annotate", {"persons": args.persons, "jobs": args.jobs}, [in_path])
     state = {"lexicon": lexicon, "mode": args.persons, "sidecar": sidecar}
     records = enumerate(read_raw_records(in_path, skip_bad=args.skip_bad), start=1)
     count = 0
@@ -139,16 +138,14 @@ def cmd_annotate(args) -> int:
             out.write(line)
             out.write("\n")
             count += 1
-    manifest.add_output(args.out_path)
-    manifest.write(f"{args.out_path}.manifest.json")
+    manifest.write(args.out_path)
     print(f"annotated {count} records -> {args.out_path}")
     return 0
 
 
 def cmd_refine(args) -> int:
     in_path = _require(args.in_path, "refine")
-    manifest = ManifestWriter("refine", {})
-    manifest.add_input(in_path)
+    manifest = ManifestWriter("refine", {}, [in_path])
     kept = total = 0
     with open(args.out_path, "w", encoding="utf-8") as out:
         for doc in read_documents(in_path):
@@ -158,20 +155,17 @@ def cmd_refine(args) -> int:
                 out.write(json.dumps(document_to_record(refined), sort_keys=True, ensure_ascii=False))
                 out.write("\n")
                 kept += 1
-    manifest.add_output(args.out_path)
-    manifest.write(f"{args.out_path}.manifest.json")
+    manifest.write(args.out_path)
     print(f"refined {total} -> kept {kept} documents -> {args.out_path}")
     return 0
 
 
 def cmd_calendar(args) -> int:
     in_path = _require(args.in_path, "calendar")
-    manifest = ManifestWriter("calendar", {})
-    manifest.add_input(in_path)
+    manifest = ManifestWriter("calendar", {}, [in_path])
     calendar = build_entity_calendar(read_documents(in_path))
     calendar.save(args.out_path)
-    manifest.add_output(args.out_path)
-    manifest.write(f"{args.out_path}.manifest.json")
+    manifest.write(args.out_path)
     print(f"calendar with {len(calendar.months)} months -> {args.out_path}")
     return 0
 
@@ -215,8 +209,7 @@ def cmd_examples(args) -> int:
     seed = _effective_seed(args, config)
     manifest = ManifestWriter("examples", {
         "objectives": sorted(o.value for o in objectives), "seed": seed, "epoch": args.epoch,
-    })
-    manifest.add_input(in_path)
+    }, [in_path])
     state = {
         "objectives": objectives, "vocab": vocab, "span": span, "calendar": calendar,
         "lexicon": SignalLexicon.default(), "rates": SamplingRates(), "seed": seed,
@@ -229,8 +222,7 @@ def cmd_examples(args) -> int:
             out.write(line)
             out.write("\n")
             count += 1
-    manifest.add_output(args.out_path)
-    manifest.write(f"{args.out_path}.manifest.json")
+    manifest.write(args.out_path)
     print(f"{count} training examples -> {args.out_path}")
     return 0
 
@@ -264,8 +256,7 @@ def cmd_pretrain(args) -> int:
         "steps": settings.steps, "batch_size": settings.batch_size,
         "grad_accum": settings.grad_accum, "lr": settings.lr,
         "encoder": enc_config.to_json(),
-    })
-    manifest.add_input(in_path)
+    }, [in_path])
     params, optimizer, logs = pretrain(docs, vocab, enc_config, settings, span=span, calendar=calendar)
     ckpt = EncoderCheckpoint(config=enc_config, vocab=vocab, params=params, step=settings.steps)
     if args.save_optimizer:
@@ -277,9 +268,7 @@ def cmd_pretrain(args) -> int:
         for log in logs:
             fh.write(json.dumps({"step": log.step, "loss": log.loss, **log.parts}, sort_keys=True, allow_nan=False))
             fh.write("\n")
-    manifest.add_output(args.out_path)
-    manifest.add_output(loss_path)
-    manifest.write(f"{args.out_path}.manifest.json")
+    manifest.write(args.out_path, loss_path)
     print(f"pre-trained {settings.steps} steps (loss {logs[0].loss:.3f} -> {logs[-1].loss:.3f}) -> {args.out_path}")
     return 0
 
@@ -326,10 +315,7 @@ def cmd_finetune(args) -> int:
     manifest = ManifestWriter("finetune", {
         "granularity": granularity.value, "span": span.render(),
         "classes": n_classes, "grid": [list(g) for g in grid], "seed": seed,
-    })
-    manifest.add_input(args.checkpoint)
-    manifest.add_input(args.train)
-    manifest.add_input(args.val)
+    }, [args.checkpoint, args.train, args.val])
     model = finetune_classifier(ckpt, train, val, n_classes, grid=grid, seed=seed)
     out = EncoderCheckpoint(
         config=model.config, vocab=model.vocab, params=model.params, step=ckpt.step,
@@ -342,8 +328,7 @@ def cmd_finetune(args) -> int:
         },
     )
     checkpoint_save(out, args.out_path)
-    manifest.add_output(args.out_path)
-    manifest.write(f"{args.out_path}.manifest.json")
+    manifest.write(args.out_path)
     print(
         f"fine-tuned ({granularity.value}, {n_classes} classes); "
         f"selected batch={model.selected[0]} lr={model.selected[1]} epochs={model.selected[2]}; "
@@ -371,17 +356,15 @@ def cmd_eval(args) -> int:
     span = CorpusSpan.parse(args.span) if args.span else None
     run_accs: list[float] = []
     run_maes: list[float] = []
-    manifest = ManifestWriter("eval", {"task": args.task, "runs": args.runs})
+    inputs = (args.base_checkpoint, args.train, args.val, args.test) if args.runs > 1 else (args.checkpoint, args.test)
+    manifest = ManifestWriter("eval", {"task": args.task, "runs": args.runs}, [_require(p, "eval") for p in inputs])
     if args.runs > 1:
         # 5-run protocol: refit with seed offsets 0..runs-1, average scores
-        base = checkpoint_load(_require(args.base_checkpoint, "eval"))
+        base = checkpoint_load(args.base_checkpoint)
         granularity = _granularity(args.granularity or "year")
-        train, span = _load_instances(_require(args.train, "eval"), granularity, span)
-        val, _ = _load_instances(_require(args.val, "eval"), granularity, span)
-        test, _ = _load_instances(_require(args.test, "eval"), granularity, span)
-        manifest.add_input(args.base_checkpoint)
-        for p in (args.train, args.val, args.test):
-            manifest.add_input(p)
+        train, span = _load_instances(args.train, granularity, span)
+        val, _ = _load_instances(args.val, granularity, span)
+        test, _ = _load_instances(args.test, granularity, span)
         seed = _effective_seed(args, _load_config(args))
         grid = _parse_grid(args.grid) if args.grid else DEFAULT_GRID
         n_classes = span.class_count(granularity)
@@ -391,13 +374,11 @@ def cmd_eval(args) -> int:
             run_accs.append(acc)
             run_maes.append(mae)
     else:
-        ckpt = checkpoint_load(_require(args.checkpoint, "eval"))
+        ckpt = checkpoint_load(args.checkpoint)
         model = _finetuned_from_checkpoint(ckpt)
         granularity = _granularity(args.granularity or ckpt.task["granularity"])
         span = span or CorpusSpan.parse(ckpt.task["span"])
-        test, _ = _load_instances(_require(args.test, "eval"), granularity, span)
-        manifest.add_input(args.checkpoint)
-        manifest.add_input(args.test)
+        test, _ = _load_instances(args.test, granularity, span)
         acc, mae = _score_model(model, test)
         run_accs.append(acc)
         run_maes.append(mae)
@@ -435,8 +416,7 @@ def _write_report(report: MetricReport, args, manifest: ManifestWriter) -> None:
         print(f"{key:<{width}}  {value}")
     if args.report:
         Path(args.report).write_text(report.dumps() + "\n", encoding="utf-8")
-        manifest.add_output(args.report)
-        manifest.write(f"{args.report}.manifest.json")
+        manifest.write(args.report)
 
 
 def _eval_semantic_change(args) -> int:
@@ -444,9 +424,8 @@ def _eval_semantic_change(args) -> int:
     gold = read_gold_shifts(_require(args.gold, "eval"))
     sentences_t1 = Path(_require(args.corpus_t1, "eval")).read_text(encoding="utf-8").splitlines()
     sentences_t2 = Path(_require(args.corpus_t2, "eval")).read_text(encoding="utf-8").splitlines()
-    manifest = ManifestWriter("eval", {"task": "semantic-change"})
-    for p in (args.checkpoint, args.gold, args.corpus_t1, args.corpus_t2):
-        manifest.add_input(p)
+    manifest = ManifestWriter("eval", {"task": "semantic-change"},
+                              [args.checkpoint, args.gold, args.corpus_t1, args.corpus_t2])
     params = ckpt.params
     if args.adapt_epochs > 0:
         params = adapt_mlm(
@@ -469,9 +448,7 @@ def cmd_similarity(args) -> int:
     first, last = (int(y) for y in args.years.split(":"))
     vocabulary = year_vocabulary(first, last)
     records = list(read_task_records(_require(args.events, "similarity")))
-    manifest = ManifestWriter("similarity", {"years": args.years, "top": args.top})
-    manifest.add_input(args.checkpoint)
-    manifest.add_input(args.events)
+    manifest = ManifestWriter("similarity", {"years": args.years, "top": args.top}, [args.checkpoint, args.events])
     top1 = topk = 0
     rows = []
     for rec in records:
@@ -502,26 +479,19 @@ def cmd_timescope(args) -> int:
     if ckpt.task["granularity"] != Granularity.MONTH.value:
         raise ConfigError("time-scope estimation needs a month-granularity model")
     span = CorpusSpan.parse(args.span or ckpt.task["span"])
-    manifest = ManifestWriter("timescope", {"span": span.render()})
-    manifest.add_input(args.checkpoint)
-    manifest.add_input(_require(args.in_path, "timescope"))
-    count = 0
-    with open(args.in_path, encoding="utf-8") as fh, open(args.out_path, "w", encoding="utf-8") as out:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            text = rec["text"]
-            if rec.get("context_text"):
-                stamp = rec.get("context_timestamp") or ""
-                text = f"{text} {stamp} {rec['context_text']}".strip()
-            start, end = estimate_time_scope(model, text, span)
-            out.write(json.dumps({"text": rec["text"], "start": start.render(), "end": end.render()}))
+    in_path = _require(args.in_path, "timescope")
+    manifest = ManifestWriter("timescope", {"span": span.render()}, [args.checkpoint, in_path])
+    rows = []
+    for rec in list(read_task_records(in_path, required=("text",))):
+        text = model_text(rec["text"], rec.get("context_timestamp"), rec.get("context_text"))
+        start, end = estimate_time_scope(model, text, span)
+        rows.append({"text": rec["text"], "start": start.render(), "end": end.render()})
+    with open(args.out_path, "w", encoding="utf-8") as out:
+        for row in rows:
+            out.write(json.dumps(row))
             out.write("\n")
-            count += 1
-    manifest.add_output(args.out_path)
-    manifest.write(f"{args.out_path}.manifest.json")
-    print(f"estimated {count} time scopes -> {args.out_path}")
+    manifest.write(args.out_path)
+    print(f"estimated {len(rows)} time scopes -> {args.out_path}")
     return 0
 
 

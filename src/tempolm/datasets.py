@@ -15,7 +15,8 @@ from .finetune import LabeledInstance
 from .timescale import CorpusSpan, Granularity, TimePoint, timestamp_to_label
 
 
-def read_task_records(path: str | Path) -> Iterator[dict]:
+def read_task_records(path: str | Path, required: tuple[str, ...] = ("text", "time")) -> Iterator[dict]:
+    """Records of a JSONL file; a bad line raises a line-numbered ``ParseError``."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -24,8 +25,8 @@ def read_task_records(path: str | Path) -> Iterator[dict]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON: {exc}", lineno) from None
-            if "text" not in rec or "time" not in rec:
-                raise ParseError("task record needs 'text' and 'time'", lineno)
+            if not isinstance(rec, dict) or any(key not in rec for key in required):
+                raise ParseError(f"task record needs {' and '.join(map(repr, required))}", lineno)
             yield rec
 
 

@@ -32,7 +32,6 @@ class EncoderConfig:
     max_len: int = 128
     vocab_size: int = 0
     dd_classes: int = 0
-    dropout: float = 0.0
     seed: int = 0
     pre_norm: bool = True
     dtype: str = "float32"
@@ -162,8 +161,6 @@ def encode_forward(
     input_ids: list[int] | np.ndarray,
     config: EncoderConfig,
     pvars: dict[str, Var],
-    train: bool = False,
-    dropout_rng: np.random.Generator | None = None,
     segments: Sequence[int] | None = None,
 ) -> Var:
     """Hidden states (seq_len, hidden_dim) for one id sequence or a pack of them.
@@ -190,28 +187,20 @@ def encode_forward(
         segment_of = np.repeat(np.arange(lengths.size), lengths)
         mask = np.where(segment_of[:, None] == segment_of[None, :], 0.0, -1e9).astype(config.np_dtype)
 
-    def maybe_dropout(v: Var) -> Var:
-        if train and config.dropout > 0.0:
-            if dropout_rng is None:
-                raise ConfigError("training with dropout requires a dropout rng")
-            return ad.dropout(v, config.dropout, dropout_rng)
-        return v
-
     x = ad.add(ad.gather_rows(pvars["tok_emb"], ids), ad.gather_rows(pvars["pos_emb"], positions))
-    x = maybe_dropout(x)
     for l in range(config.layers):
         p = f"layer{l}."
         layer = {k[len(p):]: v for k, v in pvars.items() if k.startswith(p)}
         if config.pre_norm:
             a = _attention(ad.layer_norm(x, layer["ln1.gamma"], layer["ln1.beta"]), layer, config, mask)
-            x = ad.add(x, maybe_dropout(a))
+            x = ad.add(x, a)
             f = _ffn(ad.layer_norm(x, layer["ln2.gamma"], layer["ln2.beta"]), layer)
-            x = ad.add(x, maybe_dropout(f))
+            x = ad.add(x, f)
         else:
             a = _attention(x, layer, config, mask)
-            x = ad.layer_norm(ad.add(x, maybe_dropout(a)), layer["ln1.gamma"], layer["ln1.beta"])
+            x = ad.layer_norm(ad.add(x, a), layer["ln1.gamma"], layer["ln1.beta"])
             f = _ffn(x, layer)
-            x = ad.layer_norm(ad.add(x, maybe_dropout(f)), layer["ln2.gamma"], layer["ln2.beta"])
+            x = ad.layer_norm(ad.add(x, f), layer["ln2.gamma"], layer["ln2.beta"])
     if config.pre_norm and config.layers > 0:
         x = ad.layer_norm(x, pvars["final_ln.gamma"], pvars["final_ln.beta"])
     return x
@@ -268,7 +257,8 @@ def joint_loss(
     Each task's loss is the mean over its rows, or, when ``weights`` has an
     entry for the head, the weighted sum of its per-row losses. A pack uses
     the weights to keep the per-example means. ``dd_target`` is one class,
-    or one class per dating row.
+    or one class per dating row. Returns the total and each present head's
+    loss as a float.
     """
     weights = weights or {}
     parts: list[Var] = []
@@ -284,13 +274,8 @@ def joint_loss(
         zero = Var(np.asarray(0.0))
         return zero, {}
     total = parts[0] if len(parts) == 1 else ad.add_all(parts)
-    logged["total"] = float(total.value)
     return total, logged
 
 
-def collect_grads(pvars: dict[str, Var], dtype=None) -> Params:
-    grads: Params = {}
-    for name, var in pvars.items():
-        g = var.grad if var.grad is not None else np.zeros_like(var.value)
-        grads[name] = g.astype(dtype) if dtype is not None else g
-    return grads
+def collect_grads(pvars: dict[str, Var]) -> Params:
+    return {name: var.grad if var.grad is not None else np.zeros_like(var.value) for name, var in pvars.items()}

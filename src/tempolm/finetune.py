@@ -10,15 +10,19 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 import numpy as np
 
 from . import autodiff as ad
+from .autodiff import Var
 from .checkpoint import EncoderCheckpoint
-from .encoder import EncoderConfig, Params, collect_grads, encode_forward, pack_sequences, wrap_params
+from .encoder import EncoderConfig, Params, encode_forward, pack_sequences, wrap_params
+from .encoder import collect_grads  # noqa: F401  # perfbench/layers.py traces this module's binding
 from .errors import ConfigError
 from .optim import AdamW
+from .pretrain import train_step
 from .timescale import TimeLabel
 from .vocab import Vocabulary
 
@@ -33,10 +37,15 @@ class LabeledInstance:
     context_text: str | None = None
 
     def full_text(self) -> str:
-        if self.context_text is None:
-            return self.text
-        stamp = f" {self.context_timestamp}" if self.context_timestamp else ""
-        return f"{self.text}{stamp} {self.context_text}"
+        return model_text(self.text, self.context_timestamp, self.context_text)
+
+
+def model_text(text: str, context_timestamp: str | None, context_text: str | None) -> str:
+    """The text a model reads: ``text``, then the context's timestamp and text if a context is attached."""
+    if context_text is None:
+        return text
+    stamp = f" {context_timestamp}" if context_timestamp else ""
+    return f"{text}{stamp} {context_text}"
 
 
 DEFAULT_GRID: tuple[tuple[int, float, int], ...] = tuple(
@@ -85,7 +94,6 @@ def _finetune_rng(seed: int, tag: str) -> np.random.Generator:
 def _train_one(
     base_params: Params,
     config: EncoderConfig,
-    vocab: Vocabulary,
     train_ids: list[list[int]],
     train_golds: list[int],
     n_classes: int,
@@ -104,22 +112,26 @@ def _train_one(
         order = _finetune_rng(seed, f"order{epoch}").permutation(n).tolist()
         for start in range(0, n, batch_size):
             batch = order[start : start + batch_size]
-            grads = {k: np.zeros_like(v) for k, v in params.items()}
-            for pack in pack_sequences([len(train_ids[i]) for i in batch], config.pack_len):
-                seqs = [train_ids[batch[j]] for j in pack]
-                segments = [len(ids) for ids in seqs]
-                pvars = wrap_params(params)
-                hidden = encode_forward(np.concatenate(seqs), config, pvars, segments=segments)
-                cls_state = ad.gather_rows(hidden, np.cumsum(segments) - segments)
-                logits = ad.add(ad.matmul(cls_state, pvars["cls.w"]), pvars["cls.b"])
-                # each example's loss weighted 1/len(batch): the batch mean
-                loss = ad.cross_entropy(logits, [train_golds[batch[j]] for j in pack],
-                                        np.full(len(pack), 1.0 / len(batch)))
-                ad.backward(loss)
-                for name, g in collect_grads(pvars).items():
-                    grads[name] += g
-            optimizer.step(grads)
+            packs = pack_sequences([len(train_ids[i]) for i in batch], config.pack_len)
+            # each example's loss weighted 1/len(batch): the batch mean
+            train_step(params, optimizer, optimizer.t, [
+                partial(_cls_loss, [train_ids[batch[j]] for j in pack], [train_golds[batch[j]] for j in pack],
+                        1.0 / len(batch), config)
+                for pack in packs
+            ])
     return params
+
+
+def _cls_loss(
+    seqs: list[list[int]], golds: list[int], weight: float, config: EncoderConfig, pvars: dict[str, Var],
+) -> tuple[Var, dict[str, float]]:
+    """Cross-entropy of the CLS head over sequences packed into one, each row weighted ``weight``."""
+    segments = [len(ids) for ids in seqs]
+    hidden = encode_forward(np.concatenate(seqs), config, pvars, segments=segments)
+    cls_state = ad.gather_rows(hidden, np.cumsum(segments) - segments)
+    logits = ad.add(ad.matmul(cls_state, pvars["cls.w"]), pvars["cls.b"])
+    loss = ad.cross_entropy(logits, golds, np.full(len(seqs), weight))
+    return loss, {"cls": float(loss.value)}
 
 
 def _accuracy(model: FinetunedModel, instances: list[LabeledInstance]) -> float:
@@ -152,7 +164,7 @@ def finetune_classifier(
     best: FinetunedModel | None = None
     for combo_idx, (batch_size, lr, epochs) in enumerate(grid):
         params = _train_one(
-            checkpoint.params, config, vocab, train_ids, train_golds,
+            checkpoint.params, config, train_ids, train_golds,
             n_classes, batch_size, lr, epochs, seed,
         )
         model = FinetunedModel(config, vocab, params, n_classes, (batch_size, lr, epochs))

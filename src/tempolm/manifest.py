@@ -14,6 +14,7 @@ import json
 import platform
 import time
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -44,25 +45,21 @@ def sha256_file(path: str | Path) -> str:
 
 
 class ManifestWriter:
-    def __init__(self, stage: str, config: dict):
+    """Manifest of one stage run: created when the stage starts, written when it ends."""
+
+    def __init__(self, stage: str, config: dict, inputs: Iterable[str | Path]):
+        self.started = time.time()
         self.stage = stage
         self.config = config
-        self.inputs: dict[str, str] = {}
-        self.outputs: dict[str, str] = {}
-        self.started = time.time()
+        self.inputs = {str(path): sha256_file(path) for path in inputs}
 
-    def add_input(self, path: str | Path) -> None:
-        self.inputs[str(path)] = sha256_file(path)
-
-    def add_output(self, path: str | Path) -> None:
-        self.outputs[str(path)] = sha256_file(path)
-
-    def write(self, path: str | Path) -> dict:
+    def write(self, *outputs: str | Path) -> None:
+        """Hash ``outputs`` and save the manifest as ``<first output>.manifest.json``."""
         doc = {
             "stage": self.stage,
             "config": self.config,
             "inputs": self.inputs,
-            "outputs": self.outputs,
+            "outputs": {str(path): sha256_file(path) for path in outputs},
             "started_unix": self.started,
             "elapsed_s": time.time() - self.started,
             "versions": {
@@ -71,5 +68,4 @@ class ManifestWriter:
                 "numpy": np.__version__,
             },
         }
-        Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True), encoding="utf-8")
-        return doc
+        Path(f"{outputs[0]}.manifest.json").write_text(json.dumps(doc, indent=1, sort_keys=True), encoding="utf-8")

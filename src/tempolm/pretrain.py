@@ -8,12 +8,16 @@ packs the rest, in stream order, into sequences of at most
 ``config.pack_len`` tokens, one forward and backward pass per pack. The loss
 stays a mean within each example, then a mean over the step's examples, and
 the packs do not depend on how the step splits into micro-batches.
+``train_step`` is the optimizer step; fine-tuning and period adaptation use
+it with their own pack losses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -164,22 +168,43 @@ def pretrain(
     for step in range(settings.steps):
         examples = [ex for ex in (next(stream) for _ in range(per_step)) if _has_targets(ex)]
         n_eff = max(len(examples), 1)
-        grads: Params = {k: np.zeros_like(v) for k, v in params.items()}
-        loss = 0.0
-        parts_sum: dict[str, float] = {}
-        for pack in pack_sequences([len(ex.input_ids) for ex in examples], config.pack_len):
-            pvars = wrap_params(params)
-            total, parts = pack_loss([examples[i] for i in pack], n_eff, config, pvars)
-            ad.backward(total)
-            for name, g in collect_grads(pvars).items():
-                grads[name] += g
-            loss += parts.pop("total")
-            for k, v in parts.items():
-                parts_sum[k] = parts_sum.get(k, 0.0) + v
-        _check_finite(step, loss, parts_sum, grads)
-        optimizer.step(grads)
-        logs.append(StepLog(step=step, loss=loss, parts=parts_sum))
+        packs = pack_sequences([len(ex.input_ids) for ex in examples], config.pack_len)
+        loss, parts = train_step(params, optimizer, step, [
+            partial(pack_loss, [examples[i] for i in pack], n_eff, config) for pack in packs
+        ])
+        logs.append(StepLog(step=step, loss=loss, parts=parts))
     return params, optimizer, logs
+
+
+def train_step(
+    params: Params, optimizer: AdamW, step: int,
+    pack_losses: Sequence[Callable[[dict[str, Var]], tuple[Var, dict[str, float]]]],
+) -> tuple[float, dict[str, float]]:
+    """One optimizer step: the summed gradients of every pack's loss, then AdamW.
+
+    Each of ``pack_losses`` takes freshly wrapped parameters and returns the
+    loss of one pack and its per-head parts; the step's loss and parts are
+    their sums. A non-finite loss or gradient raises ``DivergenceError``
+    before the update, so ``params`` are left as they were.
+    """
+    grads: Params = {}
+    loss = 0.0
+    parts_sum: dict[str, float] = {}
+    for loss_of in pack_losses:
+        pvars = wrap_params(params)
+        total, parts = loss_of(pvars)
+        ad.backward(total)
+        for name, g in collect_grads(pvars).items():
+            # never in place: a gradient may be the very array another leaf holds
+            grads[name] = grads[name] + g if name in grads else g
+        loss += float(total.value)
+        for k, v in parts.items():
+            parts_sum[k] = parts_sum.get(k, 0.0) + v
+    if not grads:  # no pack: the update still decays the moments and weights
+        grads = {k: np.zeros_like(v) for k, v in params.items()}
+    _check_finite(step, loss, parts_sum, grads)
+    optimizer.step(grads)
+    return loss, parts_sum
 
 
 def _check_finite(step: int, loss: float, parts: dict[str, float], grads: Params) -> None:

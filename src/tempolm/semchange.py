@@ -10,18 +10,22 @@ sentence corpora lack).
 
 from __future__ import annotations
 
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .annotate import tokenize_raw
-from .encoder import EncoderConfig, Params, collect_grads, encode_forward, multitask_heads, wrap_params
+from .autodiff import Var
+from .encoder import EncoderConfig, Params, encode_forward, multitask_heads, wrap_params
+from .encoder import collect_grads  # noqa: F401  # perfbench/layers.py traces this module's binding
 from .errors import MissingOccurrencesError, ParseError
 from .finetune import instance_ids
 from .metrics import metric_pearson, metric_spearman
 from .objectives import MaskAction, apply_mask_policy, example_rng
 from .optim import AdamW
+from .pretrain import train_step
 from .similarity import cosine_similarity
 from .vocab import Vocabulary
 
@@ -121,7 +125,7 @@ def adapt_mlm(
     seed: int = 0,
     mask_rate: float = 0.15,
 ) -> Params:
-    """Continual plain-masking adaptation on a period corpus (in place)."""
+    """Continual plain-masking adaptation on a period corpus (in place), one step per sentence."""
     optimizer = AdamW(params, lr=lr, weight_decay=0.0)
     for epoch in range(epochs):
         for si, sentence in enumerate(sorted(sentences)):
@@ -138,11 +142,16 @@ def adapt_mlm(
                 action = MaskAction.MASK if u < 0.8 else (MaskAction.RANDOM_REPLACE if u < 0.9 else MaskAction.KEEP)
                 actions[content[idx]] = action
             corrupted, targets = apply_mask_policy(ids, actions, vocab, rng)
-            pvars = wrap_params(params)
-            hidden = encode_forward(corrupted, config, pvars)
-            positions = sorted(targets)
-            heads = multitask_heads(hidden, pvars, mlm_positions=positions)
-            loss = ad.cross_entropy(heads["mlm"], np.asarray([targets[p] for p in positions]))
-            ad.backward(loss)
-            optimizer.step(collect_grads(pvars))
+            train_step(params, optimizer, optimizer.t, [partial(_mlm_loss, corrupted, targets, config)])
     return params
+
+
+def _mlm_loss(
+    ids: list[int], targets: dict[int, int], config: EncoderConfig, pvars: dict[str, Var],
+) -> tuple[Var, dict[str, float]]:
+    """Mean cross-entropy of the MLM head at the ``targets`` positions of one sequence."""
+    hidden = encode_forward(ids, config, pvars)
+    positions = sorted(targets)
+    heads = multitask_heads(hidden, pvars, mlm_positions=positions)
+    loss = ad.cross_entropy(heads["mlm"], np.asarray([targets[p] for p in positions]))
+    return loss, {"mlm": float(loss.value)}

@@ -3,10 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from tempolm.checkpoint import EncoderCheckpoint, checkpoint_save
 from tempolm.cli import build_parser, main
+from tempolm.encoder import EncoderConfig, init_params
 from tempolm.errors import DependencyMissingError
 from tempolm.manifest import parse_config_file, sha256_file
 from tempolm.synth import generate_corpus, generate_event_instances
+from tempolm.vocab import build_vocab
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +97,51 @@ def test_divergent_pretrain_exits_2_and_writes_nothing(workdir, tmp_path, capsys
     assert code == 2
     assert "diverged at step" in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == []
+
+
+def _untrained_checkpoint(path, texts, task=None):
+    vocab = build_vocab(texts, target_size=200)
+    config = EncoderConfig(layers=1, hidden_dim=16, heads=2, ffn_dim=24, max_len=64, vocab_size=vocab.size, seed=2)
+    params = init_params(config)
+    if task is not None:
+        params["cls.w"] = np.zeros((config.hidden_dim, task["n_classes"]), dtype=np.float32)
+        params["cls.b"] = np.zeros(task["n_classes"], dtype=np.float32)
+    checkpoint_save(EncoderCheckpoint(config=config, vocab=vocab, params=params, task=task), path)
+
+
+def _write_jsonl(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+
+
+def test_divergent_finetune_exits_2_and_writes_nothing(tmp_path, capsys):
+    events = generate_event_instances(8, start_year=1999, end_year=2002, seed=4)
+    _write_jsonl(tmp_path / "train.jsonl", events)
+    _untrained_checkpoint(tmp_path / "base.tlm", [e["text"] for e in events])
+    before = sorted(tmp_path.iterdir())
+    with np.errstate(all="ignore"):
+        code = run(
+            "finetune", "--checkpoint", tmp_path / "base.tlm", "--train", tmp_path / "train.jsonl",
+            "--val", tmp_path / "train.jsonl", "--out", tmp_path / "ft.tlm",
+            "--granularity", "year", "--span", "1999..2002", "--grid", "4:1e6:3",
+        )
+    assert code == 2
+    assert "diverged at step" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_timescope_malformed_line_exits_2_and_writes_nothing(tmp_path, capsys):
+    events = generate_event_instances(4, start_year=1999, end_year=2002, seed=4, monthly=True)
+    task = {"granularity": "month", "span": "1999-01..2002-12", "n_classes": 48}
+    _untrained_checkpoint(tmp_path / "month.tlm", [e["text"] for e in events], task)
+    bad = tmp_path / "questions.jsonl"
+    _write_jsonl(bad, events)
+    with open(bad, "a", encoding="utf-8") as fh:
+        fh.write('{"text": "cut off\n')
+    before = sorted(tmp_path.iterdir())
+    code = run("timescope", "--checkpoint", tmp_path / "month.tlm", "--in", bad, "--out", tmp_path / "scopes.jsonl")
+    assert code == 2
+    assert "line 5" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_examples_deterministic_across_runs_and_jobs(workdir, tmp_path):

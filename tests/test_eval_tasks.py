@@ -227,3 +227,6 @@ def test_task_record_validation(tmp_path):
     with pytest.raises(ParseError) as err:
         list(read_task_records(p))
     assert "line 1" in str(err.value)
+    p.write_text("5\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="line 1"):
+        list(read_task_records(p))

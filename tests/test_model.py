@@ -1,3 +1,7 @@
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -5,6 +9,7 @@ import tempolm.checkpoint as ckpt_mod
 from tempolm import autodiff as ad
 from tempolm.autodiff import Var
 from tempolm.checkpoint import EncoderCheckpoint, checkpoint_load, checkpoint_save
+from tempolm.cli import main
 from tempolm.encoder import (
     EncoderConfig,
     collect_grads,
@@ -29,7 +34,7 @@ from tempolm.vocab import build_vocab
 def small_config(**kw):
     defaults = dict(
         layers=2, hidden_dim=32, heads=4, ffn_dim=48, max_len=32,
-        vocab_size=50, dd_classes=6, dropout=0.0, seed=3, dtype="float64",
+        vocab_size=50, dd_classes=6, seed=3, dtype="float64",
     )
     defaults.update(kw)
     return EncoderConfig(**defaults)
@@ -73,17 +78,6 @@ def test_forward_is_pure_function_without_dropout():
     a = encode_forward([1, 2, 3, 4], config, pvars).value
     b = encode_forward([1, 2, 3, 4], config, pvars).value
     np.testing.assert_array_equal(a, b)
-
-
-def test_dropout_training_mode_perturbs_and_needs_rng():
-    config = small_config(dropout=0.2)
-    pvars = wrap_params(init_params(config))
-    eval_out = encode_forward([1, 2, 3, 4], config, pvars).value
-    rng = np.random.Generator(np.random.PCG64(0))
-    train_out = encode_forward([1, 2, 3, 4], config, pvars, train=True, dropout_rng=rng).value
-    assert not np.array_equal(eval_out, train_out)
-    with pytest.raises(ConfigError):
-        encode_forward([1, 2, 3, 4], config, pvars, train=True)
 
 
 @pytest.mark.parametrize("pre_norm", [True, False])
@@ -337,6 +331,24 @@ def test_checkpoint_version_mismatch(tmp_path, monkeypatch):
     monkeypatch.setattr(ckpt_mod, "FORMAT_VERSION", 1)
     with pytest.raises(IncompatibleCheckpointError):
         checkpoint_load(path)
+
+
+def test_checkpoint_version_1_header_is_incompatible(tmp_path):
+    # a version-1 file: its encoder config still carries the removed dropout rate
+    path = tmp_path / "v1.tlm"
+    checkpoint_save(_toy_checkpoint(), path)
+    blob = path.read_bytes()[:-32]
+    start = len(ckpt_mod.MAGIC) + 8
+    (header_len,) = struct.unpack("<Q", blob[len(ckpt_mod.MAGIC) : start])
+    header = json.loads(blob[start : start + header_len])
+    header["format_version"] = 1
+    header["config"]["dropout"] = 0.0
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    body = ckpt_mod.MAGIC + struct.pack("<Q", len(header_bytes)) + header_bytes + blob[start + header_len :]
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    with pytest.raises(IncompatibleCheckpointError, match="format version 1"):
+        checkpoint_load(path)
+    assert main(["similarity", "--checkpoint", str(path), "--events", str(tmp_path / "events.jsonl")]) == 2
 
 
 def test_checkpoint_with_optimizer_state(tmp_path):

@@ -172,6 +172,16 @@ def test_finetune_single_class_trivial(tiny_setup):
     assert model.val_acc == 100.0
 
 
+def test_finetune_divergence_raises(tiny_setup):
+    ckpt = _leak_checkpoint(tiny_setup, steps=3)
+    instances = [
+        LabeledInstance(text=f"In {1999 + i % 2} thing {i} happened.", gold=TimeLabel(Granularity.YEAR, i % 2))
+        for i in range(8)
+    ]
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError):
+        finetune_classifier(ckpt, instances, instances, n_classes=2, grid=((4, 1e6, 3),), seed=0)
+
+
 def test_finetune_empty_train_raises(tiny_setup):
     ckpt = _leak_checkpoint(tiny_setup, steps=1)
     with pytest.raises(ConfigError):
