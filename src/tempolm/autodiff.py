@@ -50,15 +50,6 @@ def add(a: Var, b: Var) -> Var:
     return Var(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
-def mul(a: Var, b: Var) -> Var:
-    out = a.value * b.value
-    return Var(
-        out,
-        (a, b),
-        lambda g: (_unbroadcast(g * b.value, a.shape), _unbroadcast(g * a.value, b.shape)),
-    )
-
-
 def scale(a: Var, s: float) -> Var:
     return Var(a.value * s, (a,), lambda g: (g * s,))
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .encoder import EncoderConfig, Params
 from .errors import ChecksumFailureError, IncompatibleCheckpointError
+from .manifest import write_atomic
 from .vocab import Vocabulary
 
 MAGIC = b"TLMCKPT\x00"
@@ -64,7 +65,7 @@ def _serialize(ckpt: EncoderCheckpoint) -> bytes:
 
 
 def checkpoint_save(ckpt: EncoderCheckpoint, path: str | Path) -> None:
-    Path(path).write_bytes(_serialize(ckpt))
+    write_atomic(path, [_serialize(ckpt)])
 
 
 def checkpoint_load(path: str | Path) -> EncoderCheckpoint:

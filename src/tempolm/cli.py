@@ -10,7 +10,6 @@ Exit code 0 on success, 2 on validation failure.
 from __future__ import annotations
 
 import argparse
-import json
 import multiprocessing
 import os
 import sys
@@ -36,7 +35,7 @@ from .encoder import EncoderConfig
 from .errors import ConfigError, DependencyMissingError, TempoError
 from .finetune import DEFAULT_GRID, FinetunedModel, finetune_classifier, model_text
 from .lexicon import SignalLexicon
-from .manifest import ManifestWriter, parse_config_file
+from .manifest import ManifestWriter, jsonl_line, parse_config_file, read_json, write_atomic
 from .metrics import MetricReport, metric_acc, metric_mae, two_tailed_ttest
 from .objectives import Objective, SamplingRates, build_training_example, example_to_record
 from .pretrain import PretrainSettings, pretrain
@@ -100,7 +99,7 @@ def _annotate_worker(item):
         if sidecar is not None:
             persons = [tuple(p) for p in sidecar.get(rec["id"], persons or [])]
     doc = annotate_document(rec["id"], rec["timestamp"], rec["text"], persons=persons, lexicon=lexicon)
-    return json.dumps(document_to_record(doc), sort_keys=True, ensure_ascii=False)
+    return jsonl_line(document_to_record(doc))
 
 
 def _init_worker(state):
@@ -123,21 +122,12 @@ def cmd_annotate(args) -> int:
     lexicon = SignalLexicon.load(_require(args.lexicon, "annotate")) if args.lexicon else SignalLexicon.default()
     sidecar = None
     if args.persons_file:
-        sidecar = {}
-        with open(_require(args.persons_file, "annotate"), encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    rec = json.loads(line)
-                    sidecar[rec["doc_id"]] = rec["persons"]
+        sidecar_records = read_task_records(_require(args.persons_file, "annotate"), required=("doc_id", "persons"))
+        sidecar = {rec["doc_id"]: rec["persons"] for rec in sidecar_records}
     manifest = ManifestWriter("annotate", {"persons": args.persons, "jobs": args.jobs}, [in_path])
     state = {"lexicon": lexicon, "mode": args.persons, "sidecar": sidecar}
     records = enumerate(read_raw_records(in_path, skip_bad=args.skip_bad), start=1)
-    count = 0
-    with open(args.out_path, "w", encoding="utf-8") as out:
-        for line in _map_ordered(_annotate_worker, records, args.jobs, state):
-            out.write(line)
-            out.write("\n")
-            count += 1
+    count = write_atomic(args.out_path, _map_ordered(_annotate_worker, records, args.jobs, state))
     manifest.write(args.out_path)
     print(f"annotated {count} records -> {args.out_path}")
     return 0
@@ -146,15 +136,16 @@ def cmd_annotate(args) -> int:
 def cmd_refine(args) -> int:
     in_path = _require(args.in_path, "refine")
     manifest = ManifestWriter("refine", {}, [in_path])
-    kept = total = 0
-    with open(args.out_path, "w", encoding="utf-8") as out:
-        for doc in read_documents(in_path):
-            total += 1
+    total = 0
+
+    def kept_lines():
+        nonlocal total
+        for total, doc in enumerate(read_documents(in_path), start=1):
             refined = refine_document(doc)
             if refined is not None:
-                out.write(json.dumps(document_to_record(refined), sort_keys=True, ensure_ascii=False))
-                out.write("\n")
-                kept += 1
+                yield jsonl_line(document_to_record(refined))
+
+    kept = write_atomic(args.out_path, kept_lines())
     manifest.write(args.out_path)
     print(f"refined {total} -> kept {kept} documents -> {args.out_path}")
     return 0
@@ -180,7 +171,7 @@ def _examples_worker(item):
         rates=state["rates"], seed=state["seed"], epoch=state["epoch"],
         max_len=state["max_len"],
     )
-    return json.dumps(example_to_record(ex), sort_keys=True)
+    return jsonl_line(example_to_record(ex))
 
 
 def _corpus_setup(args, config, in_path, need_calendar: bool, stage: str):
@@ -194,7 +185,7 @@ def _corpus_setup(args, config, in_path, need_calendar: bool, stage: str):
     elif need_calendar:
         calendar = build_entity_calendar(docs)
     if args.vocab:
-        vocab = Vocabulary.loads(Path(_require(args.vocab, stage)).read_text(encoding="utf-8"))
+        vocab = Vocabulary.from_json(read_json(_require(args.vocab, stage)))
     else:
         vocab_size = _config_get(args, config, "vocab_size", int, 512)
         vocab = build_vocab([d.text for d in docs], target_size=vocab_size)
@@ -216,12 +207,7 @@ def cmd_examples(args) -> int:
         "epoch": args.epoch, "max_len": _config_get(args, config, "max_len", int, 128),
     }
     records = (document_to_record(d) for d in docs)
-    count = 0
-    with open(args.out_path, "w", encoding="utf-8") as out:
-        for line in _map_ordered(_examples_worker, records, args.jobs, state):
-            out.write(line)
-            out.write("\n")
-            count += 1
+    count = write_atomic(args.out_path, _map_ordered(_examples_worker, records, args.jobs, state))
     manifest.write(args.out_path)
     print(f"{count} training examples -> {args.out_path}")
     return 0
@@ -264,10 +250,7 @@ def cmd_pretrain(args) -> int:
         ckpt.optimizer_step = optimizer.t
     checkpoint_save(ckpt, args.out_path)
     loss_path = f"{args.out_path}.loss.jsonl"
-    with open(loss_path, "w", encoding="utf-8") as fh:
-        for log in logs:
-            fh.write(json.dumps({"step": log.step, "loss": log.loss, **log.parts}, sort_keys=True, allow_nan=False))
-            fh.write("\n")
+    write_atomic(loss_path, (jsonl_line({"step": log.step, "loss": log.loss, **log.parts}) for log in logs))
     manifest.write(args.out_path, loss_path)
     print(f"pre-trained {settings.steps} steps (loss {logs[0].loss:.3f} -> {logs[-1].loss:.3f}) -> {args.out_path}")
     return 0
@@ -395,7 +378,7 @@ def cmd_eval(args) -> int:
         },
     )
     if args.baseline_report:
-        baseline = json.loads(Path(_require(args.baseline_report, "eval")).read_text(encoding="utf-8"))
+        baseline = read_json(_require(args.baseline_report, "eval"))
         other = baseline.get("run_accs", [])
         if len(other) >= 2 and len(run_accs) >= 2:
             _, p = two_tailed_ttest(run_accs, other)
@@ -415,7 +398,7 @@ def _write_report(report: MetricReport, args, manifest: ManifestWriter) -> None:
     for key, value in table:
         print(f"{key:<{width}}  {value}")
     if args.report:
-        Path(args.report).write_text(report.dumps() + "\n", encoding="utf-8")
+        write_atomic(args.report, [report.dumps() + "\n"])
         manifest.write(args.report)
 
 
@@ -444,8 +427,11 @@ def _eval_semantic_change(args) -> int:
 
 
 def cmd_similarity(args) -> int:
+    try:
+        first, last = (int(y) for y in args.years.split(":"))
+    except ValueError:
+        raise ConfigError(f"--years must be FIRST:LAST, got {args.years!r}") from None
     ckpt = checkpoint_load(_require(args.checkpoint, "similarity"))
-    first, last = (int(y) for y in args.years.split(":"))
     vocabulary = year_vocabulary(first, last)
     records = list(read_task_records(_require(args.events, "similarity")))
     manifest = ManifestWriter("similarity", {"years": args.years, "top": args.top}, [args.checkpoint, args.events])
@@ -486,10 +472,7 @@ def cmd_timescope(args) -> int:
         text = model_text(rec["text"], rec.get("context_timestamp"), rec.get("context_text"))
         start, end = estimate_time_scope(model, text, span)
         rows.append({"text": rec["text"], "start": start.render(), "end": end.render()})
-    with open(args.out_path, "w", encoding="utf-8") as out:
-        for row in rows:
-            out.write(json.dumps(row))
-            out.write("\n")
+    write_atomic(args.out_path, (jsonl_line(row) for row in rows))
     manifest.write(args.out_path)
     print(f"estimated {len(rows)} time scopes -> {args.out_path}")
     return 0

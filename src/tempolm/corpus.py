@@ -18,6 +18,7 @@ import numpy as np
 from .annotate import AnnotatedDocument, Span, SpanKind, Token
 from .errors import ConfigError, ParseError
 from .lexicon import Relation
+from .manifest import jsonl_line, read_json, write_atomic
 from .timescale import CorpusSpan, Granularity, TimePoint, parse_timestamp
 
 SCHEMA_VERSION = 1
@@ -108,13 +109,7 @@ def record_to_document(rec: dict) -> AnnotatedDocument:
 
 
 def write_documents(docs: Iterable[AnnotatedDocument], path: str | Path) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            fh.write(json.dumps(document_to_record(doc), sort_keys=True, ensure_ascii=False))
-            fh.write("\n")
-            count += 1
-    return count
+    return write_atomic(path, (jsonl_line(document_to_record(doc)) for doc in docs))
 
 
 def read_documents(path: str | Path) -> Iterator[AnnotatedDocument]:
@@ -198,11 +193,11 @@ class EntityCalendar:
         return EntityCalendar({k: set(v) for k, v in data.items()})
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=1, sort_keys=True), encoding="utf-8")
+        write_atomic(path, [json.dumps(self.to_json(), indent=1, sort_keys=True)])
 
     @staticmethod
     def load(path: str | Path) -> "EntityCalendar":
-        return EntityCalendar.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+        return EntityCalendar.from_json(read_json(path))
 
 
 def build_entity_calendar(docs: Iterable[AnnotatedDocument], span: CorpusSpan | None = None) -> EntityCalendar:

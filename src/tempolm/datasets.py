@@ -12,6 +12,7 @@ from typing import Iterator
 
 from .errors import ParseError
 from .finetune import LabeledInstance
+from .manifest import jsonl_line, write_atomic
 from .timescale import CorpusSpan, Granularity, TimePoint, timestamp_to_label
 
 
@@ -31,10 +32,7 @@ def read_task_records(path: str | Path, required: tuple[str, ...] = ("text", "ti
 
 
 def write_task_records(records: list[dict], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True, ensure_ascii=False))
-            fh.write("\n")
+    write_atomic(path, (jsonl_line(rec) for rec in records))
 
 
 def record_to_instance(rec: dict, granularity: Granularity, span: CorpusSpan) -> LabeledInstance:

@@ -13,6 +13,7 @@ from enum import Enum
 from pathlib import Path
 
 from .errors import NotInLexiconError, ParseError
+from .manifest import write_atomic
 
 
 class Relation(str, Enum):
@@ -102,4 +103,4 @@ class SignalLexicon:
         lines = ["# temporal signal lexicon: phrase<TAB>CLASS"]
         for key, relation in sorted(self.entries.items()):
             lines.append(f"{' '.join(key)}\t{relation.value}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_atomic(path, ["\n".join(lines) + "\n"])

@@ -5,21 +5,57 @@ comment. Every stage writes a ``<output>.manifest.json`` recording the
 config snapshot, SHA-256 checksums of inputs and outputs, wall-clock, and
 component versions: re-running a stage with identical inputs must
 reproduce identical artifact checksums.
+Artifacts reach disk only through ``write_atomic``, whole or not at all,
+and JSONL lines are serialized only by ``jsonl_line``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import platform
 import time
 from pathlib import Path
-from typing import Iterable
+from typing import Any, Iterable
 
 import numpy as np
 
 from . import __version__
 from .errors import ParseError
+
+
+def write_atomic(path: str | Path, parts: Iterable[str | bytes]) -> int:
+    """Write ``parts`` to ``path`` whole or not at all; return how many parts were written.
+
+    Parts go to ``<path>.tmp``, which ``os.replace`` then moves onto ``path``. On any
+    exception, ``KeyboardInterrupt`` included, the temp file is deleted and ``path`` is kept.
+    """
+    tmp = Path(f"{path}.tmp")
+    count = 0
+    try:
+        with open(tmp, "wb") as fh:
+            for part in parts:
+                fh.write(part.encode("utf-8") if isinstance(part, str) else part)
+                count += 1
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return count
+
+
+def jsonl_line(record: Any) -> str:
+    """The one JSONL rule: sorted keys, UTF-8 text as is, no NaN or infinity."""
+    return json.dumps(record, sort_keys=True, ensure_ascii=False, allow_nan=False) + "\n"
+
+
+def read_json(path: str | Path) -> Any:
+    """The JSON value of a whole file; malformed JSON raises ``ParseError``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
@@ -68,4 +104,4 @@ class ManifestWriter:
                 "numpy": np.__version__,
             },
         }
-        Path(f"{outputs[0]}.manifest.json").write_text(json.dumps(doc, indent=1, sort_keys=True), encoding="utf-8")
+        write_atomic(f"{outputs[0]}.manifest.json", [json.dumps(doc, indent=1, sort_keys=True)])

@@ -52,9 +52,3 @@ class AdamW:
             out[f"adam.m.{name}"] = self.m[name]
             out[f"adam.v.{name}"] = self.v[name]
         return out
-
-    def load_state(self, tensors: Params, t: int) -> None:
-        self.t = t
-        for name in self.params:
-            self.m[name] = tensors[f"adam.m.{name}"].astype(self.params[name].dtype)
-            self.v[name] = tensors[f"adam.v.{name}"].astype(self.params[name].dtype)

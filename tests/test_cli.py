@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from tempolm.annotate import annotate_document
 from tempolm.checkpoint import EncoderCheckpoint, checkpoint_save
 from tempolm.cli import build_parser, main
+from tempolm.corpus import document_to_record
 from tempolm.encoder import EncoderConfig, init_params
 from tempolm.errors import DependencyMissingError
 from tempolm.manifest import parse_config_file, sha256_file
@@ -357,3 +359,63 @@ def test_lexicon_override_flag(workdir, tmp_path):
     rec = json.loads(out.read_text().splitlines()[0])
     signals = [s for s in rec["spans"] if s["kind"] == "signal"]
     assert all(s["surface"].lower() == "before" for s in signals)
+
+
+ANNOTATED_LINE = json.dumps(document_to_record(annotate_document("a", "1999-01-02", "It rained in May 1999."))) + "\n"
+
+
+@pytest.mark.parametrize("stage, lines", [
+    ("annotate", ['{"id": "a", "timestamp": "1999-01-02", "text": "It rained in May 1999."}\n',
+                  '{"id": "b", "text": "no timestamp"}\n']),
+    ("refine", [ANNOTATED_LINE, '{"v": 1, "id": "b", "timestamp": "1999-01-02"}\n']),
+])
+@pytest.mark.parametrize("earlier", [None, b"earlier artifact\n"])
+def test_bad_line_2_leaves_out_path_as_it_was(tmp_path, capsys, stage, lines, earlier):
+    src = tmp_path / "in.jsonl"
+    src.write_text("".join(lines), encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    if earlier is not None:
+        out.write_bytes(earlier)
+    before = sorted(tmp_path.iterdir())
+    assert run(stage, "--in", src, "--out", out) == 2
+    assert "line 2" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+    if earlier is not None:
+        assert out.read_bytes() == earlier
+
+
+def test_malformed_persons_sidecar_is_line_numbered_error(tmp_path, capsys):
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text(json.dumps({"id": "d1", "timestamp": "1996-09-13", "text": "In 1996 it rained."}) + "\n")
+    sidecar = tmp_path / "persons.jsonl"
+    sidecar.write_text(json.dumps({"doc_id": "d1", "persons": []}) + "\n{broken\n")
+    before = sorted(tmp_path.iterdir())
+    code = run("annotate", "--in", raw, "--out", tmp_path / "ann.jsonl",
+               "--persons", "external", "--persons-file", sidecar)
+    assert code == 2
+    assert "line 2" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("flag", ["--calendar", "--vocab"])
+def test_malformed_json_input_exits_2_and_writes_nothing(workdir, tmp_path, capsys, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"1999-01": ["Carol King"', encoding="utf-8")
+    code = run("examples", "--in", workdir / "ref.jsonl", "--out", tmp_path / "ex.jsonl",
+               "--objectives", "etamlm,dd,tser", flag, bad)
+    assert code == 2
+    assert "invalid JSON" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [bad]
+
+
+@pytest.mark.parametrize("years", ["1999", "a:b", "1999:2000:2001"])
+def test_similarity_bad_years_is_config_error(tmp_path, capsys, years):
+    events = generate_event_instances(4, start_year=1999, end_year=2002, seed=4)
+    _write_jsonl(tmp_path / "events.jsonl", events)
+    _untrained_checkpoint(tmp_path / "base.tlm", [e["text"] for e in events])
+    before = sorted(tmp_path.iterdir())
+    code = run("similarity", "--checkpoint", tmp_path / "base.tlm", "--events", tmp_path / "events.jsonl",
+               "--years", years, "--report", tmp_path / "sim.json")
+    assert code == 2
+    assert "--years" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
