@@ -10,7 +10,6 @@ Exit code 0 on success, 2 on validation failure.
 from __future__ import annotations
 
 import argparse
-import multiprocessing
 import os
 import sys
 from pathlib import Path
@@ -112,6 +111,8 @@ def _map_ordered(worker, items, jobs: int, state: dict):
         for item in items:
             yield worker(item)
         return
+    import multiprocessing  # besides packworker, the one place that starts processes
+
     with multiprocessing.Pool(jobs, initializer=_init_worker, initargs=(state,)) as pool:
         yield from pool.imap(worker, items, chunksize=16)
 

@@ -121,6 +121,8 @@ def read_documents(path: str | Path) -> Iterator[AnnotatedDocument]:
                 yield record_to_document(json.loads(line))
             except (json.JSONDecodeError, KeyError) as exc:
                 raise ParseError(f"bad annotated record: {exc}", lineno) from None
+            except ParseError as exc:
+                raise ParseError(str(exc), lineno) from None
 
 
 def refine_document(doc: AnnotatedDocument) -> AnnotatedDocument | None:
@@ -190,6 +192,8 @@ class EntityCalendar:
 
     @staticmethod
     def from_json(data: dict) -> "EntityCalendar":
+        if not isinstance(data, dict) or not all(isinstance(v, list) for v in data.values()):
+            raise ParseError("entity calendar must be a JSON object of month -> list of names")
         return EntityCalendar({k: set(v) for k, v in data.items()})
 
     def save(self, path: str | Path) -> None:

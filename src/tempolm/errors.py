@@ -4,6 +4,18 @@
 class TempoError(Exception):
     """Base class for all errors raised by this package."""
 
+    def __reduce__(self):
+        # rebuilt without calling ``__init__``, whose signature may differ from
+        # ``args``, so an error crosses a process boundary with its message
+        return _rebuild, (type(self), self.args, self.__dict__)
+
+
+def _rebuild(cls, args, state):
+    error = cls.__new__(cls)
+    error.args = args
+    error.__dict__.update(state)
+    return error
+
 
 class TimestampParseError(TempoError):
     """A timestamp string is not a valid ISO-8601 calendar date."""
@@ -44,6 +56,10 @@ class DivergenceError(TempoError):
         super().__init__(f"training diverged at step {step}: non-finite {what} in {where}")
         self.step = step
         self.where = where
+
+
+class PackWorkerError(TempoError):
+    """The pack worker process died during a training step, or its error could not be sent back."""
 
 
 class IncompatibleCheckpointError(TempoError):

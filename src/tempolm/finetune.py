@@ -22,6 +22,7 @@ from .encoder import EncoderConfig, Params, encode_forward, pack_sequences, wrap
 from .encoder import collect_grads  # noqa: F401  # perfbench/layers.py traces this module's binding
 from .errors import ConfigError
 from .optim import AdamW
+from .packworker import PackWorker
 from .pretrain import train_step
 from .timescale import TimeLabel
 from .vocab import Vocabulary
@@ -108,17 +109,18 @@ def _train_one(
     params["cls.b"] = np.zeros(n_classes, dtype=config.np_dtype)
     optimizer = AdamW(params, lr=lr, weight_decay=0.01)
     n = len(train_ids)
-    for epoch in range(epochs):
-        order = _finetune_rng(seed, f"order{epoch}").permutation(n).tolist()
-        for start in range(0, n, batch_size):
-            batch = order[start : start + batch_size]
-            packs = pack_sequences([len(train_ids[i]) for i in batch], config.pack_len)
-            # each example's loss weighted 1/len(batch): the batch mean
-            train_step(params, optimizer, optimizer.t, [
-                partial(_cls_loss, [train_ids[batch[j]] for j in pack], [train_golds[batch[j]] for j in pack],
-                        1.0 / len(batch), config)
-                for pack in packs
-            ])
+    with PackWorker(optimizer) as worker:
+        for epoch in range(epochs):
+            order = _finetune_rng(seed, f"order{epoch}").permutation(n).tolist()
+            for start in range(0, n, batch_size):
+                batch = order[start : start + batch_size]
+                packs = pack_sequences([len(train_ids[i]) for i in batch], config.pack_len)
+                # each example's loss weighted 1/len(batch): the batch mean
+                train_step(params, optimizer, optimizer.t, [
+                    partial(_cls_loss, [train_ids[batch[j]] for j in pack], [train_golds[batch[j]] for j in pack],
+                            1.0 / len(batch), config)
+                    for pack in packs
+                ], worker)
     return params
 
 

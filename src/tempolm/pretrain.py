@@ -40,6 +40,7 @@ from .errors import ConfigError, DivergenceError
 from .lexicon import SignalLexicon
 from .objectives import Objective, SamplingRates, TrainingExample, build_training_example
 from .optim import AdamW
+from .packworker import PackWorker
 from .timescale import CorpusSpan
 
 
@@ -165,54 +166,73 @@ def pretrain(
     logs: list[StepLog] = []
     per_step = settings.batch_size * settings.grad_accum
 
-    for step in range(settings.steps):
-        examples = [ex for ex in (next(stream) for _ in range(per_step)) if _has_targets(ex)]
-        n_eff = max(len(examples), 1)
-        packs = pack_sequences([len(ex.input_ids) for ex in examples], config.pack_len)
-        loss, parts = train_step(params, optimizer, step, [
-            partial(pack_loss, [examples[i] for i in pack], n_eff, config) for pack in packs
-        ])
-        logs.append(StepLog(step=step, loss=loss, parts=parts))
+    with PackWorker(optimizer) as worker:
+        for step in range(settings.steps):
+            examples = [ex for ex in (next(stream) for _ in range(per_step)) if _has_targets(ex)]
+            n_eff = max(len(examples), 1)
+            packs = pack_sequences([len(ex.input_ids) for ex in examples], config.pack_len)
+            loss, parts = train_step(params, optimizer, step, [
+                partial(pack_loss, [examples[i] for i in pack], n_eff, config) for pack in packs
+            ], worker)
+            logs.append(StepLog(step=step, loss=loss, parts=parts))
     return params, optimizer, logs
 
 
 def train_step(
     params: Params, optimizer: AdamW, step: int,
     pack_losses: Sequence[Callable[[dict[str, Var]], tuple[Var, dict[str, float]]]],
+    worker: PackWorker | None = None,
 ) -> tuple[float, dict[str, float]]:
     """One optimizer step: the summed gradients of every pack's loss, then AdamW.
 
     Each of ``pack_losses`` takes freshly wrapped parameters and returns the
     loss of one pack and its per-head parts; the step's loss and parts are
-    their sums. A non-finite loss or gradient raises ``DivergenceError``
-    before the update, so ``params`` are left as they were.
+    their sums. The gradients are summed in pack order into the optimizer's
+    flat gradient buffer; with a ``worker``, its child computes every other
+    pack of the step, and the sum is the same to the bit. A non-finite loss
+    or gradient raises ``DivergenceError`` before the update, so ``params``
+    are left as they were.
     """
-    grads: Params = {}
+    grads = optimizer.grads
     loss = 0.0
     parts_sum: dict[str, float] = {}
-    for loss_of in pack_losses:
-        pvars = wrap_params(params)
-        total, parts = loss_of(pvars)
-        ad.backward(total)
-        for name, g in collect_grads(pvars).items():
-            # never in place: a gradient may be the very array another leaf holds
-            grads[name] = grads[name] + g if name in grads else g
-        loss += float(total.value)
-        for k, v in parts.items():
-            parts_sum[k] = parts_sum.get(k, 0.0) + v
-    if not grads:  # no pack: the update still decays the moments and weights
-        grads = {k: np.zeros_like(v) for k, v in params.items()}
-    _check_finite(step, loss, parts_sum, grads)
-    optimizer.step(grads)
+    remote: set[int] = set()
+    try:
+        if worker is not None:
+            remote = worker.begin(pack_losses)
+        for j, loss_of in enumerate(pack_losses):
+            if j in remote:
+                total, parts = worker.add_next(optimizer.grad)
+            else:
+                pvars = wrap_params(params)
+                root, parts = loss_of(pvars)
+                ad.backward(root)
+                for name, g in collect_grads(pvars).items():
+                    if j:
+                        np.add(grads[name], g, out=grads[name])
+                    else:  # copied, not added to zeros: 0.0 + -0.0 is 0.0
+                        np.copyto(grads[name], g)
+                total = float(root.value)
+            loss += total
+            for k, v in parts.items():
+                parts_sum[k] = parts_sum.get(k, 0.0) + v
+    except BaseException:
+        if worker is not None:
+            worker.close(kill=True)  # its pipe may hold the aborted step; the next step forks afresh
+        raise
+    if not pack_losses:  # no pack: the update still decays the moments and weights
+        optimizer.grad.fill(0.0)
+    _check_finite(step, loss, parts_sum, optimizer)
+    optimizer.step()
     return loss, parts_sum
 
 
-def _check_finite(step: int, loss: float, parts: dict[str, float], grads: Params) -> None:
+def _check_finite(step: int, loss: float, parts: dict[str, float], optimizer: AdamW) -> None:
     """Raise ``DivergenceError`` before a non-finite loss or gradient reaches the weights."""
     if not math.isfinite(loss):
         head = next((k for k, v in sorted(parts.items()) if not math.isfinite(v)), "total")
         raise DivergenceError(step, "loss", f"head '{head}'")
     # the global norm is finite exactly when every entry is
-    for name in sorted(grads):
-        if not np.isfinite(grads[name]).all():
-            raise DivergenceError(step, "gradient norm", f"parameter '{name}'")
+    name = optimizer.first_nonfinite()
+    if name is not None:
+        raise DivergenceError(step, "gradient norm", f"parameter '{name}'")

@@ -14,7 +14,7 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 
 SPECIALS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
 N_BYTES = 256
@@ -133,6 +133,10 @@ class Vocabulary:
 
     @staticmethod
     def from_json(data: dict) -> "Vocabulary":
+        if not (isinstance(data, dict) and isinstance(data.get("tokens"), list)
+                and isinstance(data.get("merges"), list)
+                and all(isinstance(m, list) and len(m) == 3 for m in data["merges"])):
+            raise ParseError("vocabulary must be a JSON object with a 'tokens' list and a 'merges' list of triples")
         return Vocabulary(list(data["tokens"]), [tuple(m) for m in data["merges"]])
 
     def dumps(self) -> str:

@@ -1,4 +1,4 @@
-"""The single write path for artifacts: whole-or-nothing writes, one JSONL rule."""
+"""The single write path for artifacts: whole-or-nothing writes, one JSONL rule; and the one process model."""
 
 import ast
 import math
@@ -107,3 +107,53 @@ def test_only_write_atomic_writes_files():
     assert offenders == []
     manifest_writes = _file_writes((SRC / "manifest.py").read_text(encoding="utf-8"))
     assert [where.split(":")[0] for where in manifest_writes] == ["write_atomic"]
+
+
+def _process_starts(source: str, allowed: str | None = None) -> list[str]:
+    """``function:line`` of every ``multiprocessing`` import and ``os.fork`` use outside the function ``allowed``."""
+    found: list[str] = []
+
+    def starts(node: ast.AST) -> bool:
+        if isinstance(node, ast.Import):
+            return any(a.name.split(".")[0] == "multiprocessing" for a in node.names)
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")[0]
+            return module == "multiprocessing" or (module == "os" and any(a.name == "fork" for a in node.names))
+        return (isinstance(node, ast.Attribute) and node.attr == "fork"
+                and isinstance(node.value, ast.Name) and node.value.id == "os")
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if starts(node) and function != allowed:
+            found.append(f"{function}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+@pytest.mark.parametrize("source, starts", [
+    ("import os\nimport subprocess\ndef f():\n    os.getpid()\n", []),
+    ("import multiprocessing\n", ["<module>:1"]),
+    ("import multiprocessing.pool as mp\n", ["<module>:1"]),
+    ("from multiprocessing import Pool\n", ["<module>:1"]),
+    ("def f():\n    import multiprocessing\n", ["f:2"]),
+    ("def f():\n    return os.fork()\n", ["f:2"]),
+    ("from os import fork\n", ["<module>:1"]),
+    ("def _map_ordered():\n    import multiprocessing\n", []),
+])
+def test_process_guard_detects_process_starts(source, starts):
+    assert _process_starts(source, allowed="_map_ordered") == starts
+
+
+def test_only_packworker_and_map_ordered_start_processes():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "packworker.py":
+            continue
+        allowed = "_map_ordered" if path.name == "cli.py" else None
+        offenders += [f"{path.name}:{where}" for where in _process_starts(path.read_text(encoding="utf-8"), allowed)]
+    assert offenders == []
+    assert _process_starts((SRC / "packworker.py").read_text(encoding="utf-8")) != []

@@ -408,6 +408,29 @@ def test_malformed_json_input_exits_2_and_writes_nothing(workdir, tmp_path, caps
     assert sorted(tmp_path.iterdir()) == [bad]
 
 
+@pytest.mark.parametrize("flag", ["--calendar", "--vocab"])
+def test_json_of_wrong_shape_exits_2_and_writes_nothing(workdir, tmp_path, capsys, flag):
+    bad = tmp_path / "list.json"
+    bad.write_text("[]", encoding="utf-8")
+    code = run("examples", "--in", workdir / "ref.jsonl", "--out", tmp_path / "ex.jsonl",
+               "--objectives", "etamlm,dd,tser", flag, bad)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "must be a JSON object" in captured.err
+    assert sorted(tmp_path.iterdir()) == [bad]
+
+
+def test_refine_unsupported_record_version_names_its_line(tmp_path, capsys):
+    bad = tmp_path / "ann.jsonl"
+    bad.write_text('{"v": 2, "id": "x"}\n', encoding="utf-8")
+    code = run("refine", "--in", bad, "--out", tmp_path / "ref.jsonl")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 1" in err and "version 2" in err
+    assert sorted(tmp_path.iterdir()) == [bad]
+
+
 @pytest.mark.parametrize("years", ["1999", "a:b", "1999:2000:2001"])
 def test_similarity_bad_years_is_config_error(tmp_path, capsys, years):
     events = generate_event_instances(4, start_year=1999, end_year=2002, seed=4)

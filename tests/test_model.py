@@ -269,6 +269,45 @@ def test_adamw_decoupled_decay_shrinks_params():
     assert abs(params["w"][0] - (2.0 - 0.1 * 0.5 * 2.0)) < 1e-12
 
 
+def _reference_adamw_step(params, m, v, grads, t, lr, b1, b2, eps, wd):
+    """The per-tensor AdamW update, one tensor at a time, as the flat update must reproduce it."""
+    for name in sorted(params):
+        p, g = params[name], grads[name].astype(params[name].dtype)
+        m[name] *= b1
+        m[name] += (1.0 - b1) * g
+        v[name] *= b2
+        v[name] += (1.0 - b2) * g * g
+        p -= lr * (m[name] / (1.0 - b1**t)) / (np.sqrt(v[name] / (1.0 - b2**t)) + eps)
+        if wd > 0.0:
+            p -= lr * wd * p
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adamw_flat_update_equals_per_tensor_update_bitwise(dtype):
+    rng = np.random.default_rng(0)
+    # one tensor larger than an update chunk, so chunk edges fall inside it
+    shapes = {"b": (3,), "w": (300, 400), "a": (7, 5), "z": ()}
+    params = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+    ref = {k: v.copy() for k, v in params.items()}
+    m = {k: np.zeros_like(x) for k, x in ref.items()}
+    v = {k: np.zeros_like(x) for k, x in ref.items()}
+    opt = AdamW(params, lr=1e-2, betas=(0.8, 0.95), eps=1e-6, weight_decay=0.1)
+    assert all(np.shares_memory(params[k], opt.flat) for k in params)
+    for t in range(1, 4):
+        grads = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+        opt.step(grads)
+        _reference_adamw_step(ref, m, v, grads, t, 1e-2, 0.8, 0.95, 1e-6, 0.1)
+    for k in shapes:
+        assert params[k].tobytes() == ref[k].tobytes()
+        assert opt.state_tensors()[f"adam.m.{k}"].tobytes() == m[k].tobytes()
+        assert opt.state_tensors()[f"adam.v.{k}"].tobytes() == v[k].tobytes()
+
+
+def test_adamw_rejects_mixed_dtypes():
+    with pytest.raises(ConfigError, match="mixed dtypes"):
+        AdamW({"a": np.zeros(2, dtype=np.float32), "b": np.zeros(2, dtype=np.float64)})
+
+
 def _toy_checkpoint():
     vocab = build_vocab(["alpha beta gamma 1999"], target_size=32)
     config = EncoderConfig(
