@@ -4,14 +4,32 @@ Forward passes build a graph of ``Var`` nodes; ``backward`` walks it once in
 reverse topological order with a fixed traversal, so gradient accumulation
 order is deterministic. Only the operations the encoder needs are provided;
 each op's adjoint is written out by hand and validated against central
-finite differences in the test suite.
+finite differences in the test suite. Inside ``no_grad()`` the same ops
+record nothing: every node they make is a leaf, so inference builds no tape.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
+
+_recording = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Within the block, ops keep neither parents nor adjoints; recording resumes after it.
+
+    The switch is process-wide, not per thread.
+    """
+    global _recording
+    before, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = before
 
 
 class Var:
@@ -27,8 +45,12 @@ class Var:
     ):
         self.value = np.asarray(value)
         self.grad: np.ndarray | None = None
-        self.parents = tuple(parents)
-        self.backward_fn = backward_fn
+        if _recording:
+            self.parents = tuple(parents)
+            self.backward_fn = backward_fn
+        else:
+            self.parents = ()
+            self.backward_fn = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -116,20 +138,20 @@ def gelu(a: Var) -> Var:
 
 def layer_norm(x: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> Var:
     """Normalization over the last axis with learned scale and shift."""
-    mu = x.value.mean(axis=-1, keepdims=True)
-    xc = x.value - mu
-    var = (xc**2).mean(axis=-1, keepdims=True)
+    # sum / d, not np.mean: the same values, without mean's per-call overhead
+    d = x.value.shape[-1]
+    xc = x.value - x.value.sum(axis=-1, keepdims=True) / d
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = xhat * gamma.value + beta.value
-    d = x.value.shape[-1]
 
     def backward(g):
         gg = g * gamma.value
         gx = inv * (
             gg
-            - gg.mean(axis=-1, keepdims=True)
-            - xhat * (gg * xhat).mean(axis=-1, keepdims=True)
+            - gg.sum(axis=-1, keepdims=True) / d
+            - xhat * ((gg * xhat).sum(axis=-1, keepdims=True) / d)
         )
         ggamma = _unbroadcast(g * xhat, gamma.shape)
         gbeta = _unbroadcast(g, beta.shape)

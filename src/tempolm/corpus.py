@@ -84,27 +84,37 @@ def document_to_record(doc: AnnotatedDocument) -> dict:
 
 
 def record_to_document(rec: dict) -> AnnotatedDocument:
+    """The document an annotated record holds; a record of the wrong shape raises ``ParseError``."""
+    if not isinstance(rec, dict):
+        raise ParseError("annotated record must be a JSON object")
     if rec.get("v") != SCHEMA_VERSION:
         raise ParseError(f"unsupported annotated-record version {rec.get('v')!r}")
-    tokens = [Token(t[0], t[1], t[2]) for t in rec["tokens"]]
-    spans = []
-    for s in rec["spans"]:
-        normalized = TimePoint.parse(s["normalized"]) if s.get("normalized") else None
-        spans.append(Span(
-            kind=SpanKind(s["kind"]),
-            token_start=s["start"],
-            token_end=s["end"],
-            surface=s["surface"],
-            relation=Relation(s["relation"]) if s.get("relation") else None,
-            normalized=normalized,
-        ))
+    part = "tokens"
+    try:
+        tokens = [Token(t[0], t[1], t[2]) for t in rec["tokens"]]
+        part = "spans"
+        spans = []
+        for s in rec["spans"]:
+            normalized = TimePoint.parse(s["normalized"]) if s.get("normalized") else None
+            spans.append(Span(
+                kind=SpanKind(s["kind"]),
+                token_start=s["start"],
+                token_end=s["end"],
+                surface=s["surface"],
+                relation=Relation(s["relation"]) if s.get("relation") else None,
+                normalized=normalized,
+            ))
+        part = "sentences"
+        sentence_bounds = [tuple(b) for b in rec["sentences"]]
+    except (TypeError, ValueError, IndexError, AttributeError) as exc:
+        raise ParseError(f"bad field {part!r} in annotated record: {exc}") from None
     return AnnotatedDocument(
         id=rec["id"],
         timestamp=parse_timestamp(rec["timestamp"]),
         text=rec["text"],
         tokens=tokens,
         spans=spans,
-        sentence_bounds=[tuple(b) for b in rec["sentences"]],
+        sentence_bounds=sentence_bounds,
     )
 
 

@@ -110,30 +110,52 @@ def init_params(config: EncoderConfig) -> Params:
     return params
 
 
-def _attention(x: Var, pv: dict[str, Var], config: EncoderConfig, mask: np.ndarray | None) -> Var:
-    n = x.shape[0]
+def _attention(xq: Var, x: Var, pv: dict[str, Var], config: EncoderConfig, mask: np.ndarray | None) -> Var:
+    """Self-attention of the rows ``xq`` over keys and values from every row of ``x``."""
     h, heads = config.hidden_dim, config.heads
     dh = h // heads
 
-    def proj(w, b):
-        return ad.add(ad.matmul(x, pv[w]), pv[b])
+    def proj(t, w, b):
+        return ad.add(ad.matmul(t, pv[w]), pv[b])
 
     def split_heads(t: Var) -> Var:
-        return ad.swapaxes(ad.reshape(t, (n, heads, dh)), 0, 1)
+        return ad.swapaxes(ad.reshape(t, (t.shape[0], heads, dh)), 0, 1)
 
-    q = split_heads(proj("attn.wq", "attn.bq"))
-    k = split_heads(proj("attn.wk", "attn.bk"))
-    v = split_heads(proj("attn.wv", "attn.bv"))
+    q = split_heads(proj(xq, "attn.wq", "attn.bq"))
+    k = split_heads(proj(x, "attn.wk", "attn.bk"))
+    v = split_heads(proj(x, "attn.wv", "attn.bv"))
     # a Python float: a numpy float64 scalar would promote float32 scores to float64
     scores = ad.scale(ad.matmul(q, ad.swapaxes(k, 1, 2)), 1.0 / math.sqrt(dh))
     probs = ad.softmax(scores, axis=-1, mask=mask)
-    ctx = ad.reshape(ad.swapaxes(ad.matmul(probs, v), 0, 1), (n, h))
+    ctx = ad.reshape(ad.swapaxes(ad.matmul(probs, v), 0, 1), (xq.shape[0], h))
     return ad.add(ad.matmul(ctx, pv["attn.wo"]), pv["attn.bo"])
 
 
 def _ffn(x: Var, pv: dict[str, Var]) -> Var:
     hidden = ad.gelu(ad.add(ad.matmul(x, pv["ffn.w1"]), pv["ffn.b1"]))
     return ad.add(ad.matmul(hidden, pv["ffn.w2"]), pv["ffn.b2"])
+
+
+_LAYER_PARAMS = tuple(
+    f"attn.{kind}{m}" for m in "qkvo" for kind in ("w", "b")
+) + ("ln1.gamma", "ln1.beta", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2", "ln2.gamma", "ln2.beta")
+
+
+def _layer(x: Var, pv: dict[str, Var], config: EncoderConfig, mask: np.ndarray | None,
+           rows: np.ndarray | None) -> Var:
+    """One encoder layer; with ``rows``, the outputs of those rows only, attending over every row."""
+    if rows is None:
+        xq = x
+    else:
+        xq = ad.gather_rows(x, rows)
+        mask = None if mask is None else mask[rows]
+    if config.pre_norm:
+        normed = ad.layer_norm(x, pv["ln1.gamma"], pv["ln1.beta"])
+        nq = normed if rows is None else ad.gather_rows(normed, rows)
+        x = ad.add(xq, _attention(nq, normed, pv, config, mask))
+        return ad.add(x, _ffn(ad.layer_norm(x, pv["ln2.gamma"], pv["ln2.beta"]), pv))
+    x = ad.layer_norm(ad.add(xq, _attention(xq, x, pv, config, mask)), pv["ln1.gamma"], pv["ln1.beta"])
+    return ad.layer_norm(ad.add(x, _ffn(x, pv)), pv["ln2.gamma"], pv["ln2.beta"])
 
 
 def wrap_params(params: Params) -> dict[str, Var]:
@@ -162,6 +184,7 @@ def encode_forward(
     config: EncoderConfig,
     pvars: dict[str, Var],
     segments: Sequence[int] | None = None,
+    rows: Sequence[int] | np.ndarray | None = None,
 ) -> Var:
     """Hidden states (seq_len, hidden_dim) for one id sequence or a pack of them.
 
@@ -169,6 +192,11 @@ def encode_forward(
     ``input_ids``; by default the ids are one sequence. Each segment has its
     own positions from 0 and attends only within itself, so its states equal
     those of the segment encoded alone, up to rounding.
+
+    With ``rows``, the result holds only the states of those rows, in that
+    order: the last layer still reads keys and values from every row, but
+    its queries, FFN and the final norm run on ``rows`` alone. The states
+    equal the matching rows of the full result, up to rounding.
     """
     ids = np.asarray(input_ids, dtype=np.int64)
     n = ids.shape[0]
@@ -180,6 +208,10 @@ def encode_forward(
         raise SequenceTooLongError(f"sequence of length {longest} exceeds max_len {config.max_len}")
     if n and (ids.min() < 0 or ids.max() >= config.vocab_size):
         raise ConfigError("input id outside vocabulary")
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.size and (rows.min() < 0 or rows.max() >= n):
+            raise SpanBoundsError(f"row outside sequence of length {n}")
     starts = np.cumsum(lengths) - lengths
     positions = np.arange(n) - np.repeat(starts, lengths)
     mask = None
@@ -190,17 +222,10 @@ def encode_forward(
     x = ad.add(ad.gather_rows(pvars["tok_emb"], ids), ad.gather_rows(pvars["pos_emb"], positions))
     for l in range(config.layers):
         p = f"layer{l}."
-        layer = {k[len(p):]: v for k, v in pvars.items() if k.startswith(p)}
-        if config.pre_norm:
-            a = _attention(ad.layer_norm(x, layer["ln1.gamma"], layer["ln1.beta"]), layer, config, mask)
-            x = ad.add(x, a)
-            f = _ffn(ad.layer_norm(x, layer["ln2.gamma"], layer["ln2.beta"]), layer)
-            x = ad.add(x, f)
-        else:
-            a = _attention(x, layer, config, mask)
-            x = ad.layer_norm(ad.add(x, a), layer["ln1.gamma"], layer["ln1.beta"])
-            f = _ffn(x, layer)
-            x = ad.layer_norm(ad.add(x, f), layer["ln2.gamma"], layer["ln2.beta"])
+        layer = {name: pvars[p + name] for name in _LAYER_PARAMS}
+        x = _layer(x, layer, config, mask, rows if l == config.layers - 1 else None)
+    if config.layers == 0 and rows is not None:
+        x = ad.gather_rows(x, rows)
     if config.pre_norm and config.layers > 0:
         x = ad.layer_norm(x, pvars["final_ln.gamma"], pvars["final_ln.beta"])
     return x

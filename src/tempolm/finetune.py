@@ -74,11 +74,11 @@ class FinetunedModel:
     val_acc: float | None = None
 
     def predict_proba(self, text: str) -> np.ndarray:
-        pvars = wrap_params(self.params)
         ids = instance_ids(self.vocab, text, self.config.max_len)
-        hidden = encode_forward(ids, self.config, pvars)
-        cls_state = ad.gather_rows(hidden, np.asarray([0]))
-        logits = ad.add(ad.matmul(cls_state, pvars["cls.w"]), pvars["cls.b"]).value[0]
+        with ad.no_grad():
+            pvars = wrap_params(self.params)
+            cls_state = encode_forward(ids, self.config, pvars, rows=[0])
+            logits = ad.add(ad.matmul(cls_state, pvars["cls.w"]), pvars["cls.b"]).value[0]
         z = logits - logits.max()
         e = np.exp(z)
         return e / e.sum()
@@ -129,8 +129,8 @@ def _cls_loss(
 ) -> tuple[Var, dict[str, float]]:
     """Cross-entropy of the CLS head over sequences packed into one, each row weighted ``weight``."""
     segments = [len(ids) for ids in seqs]
-    hidden = encode_forward(np.concatenate(seqs), config, pvars, segments=segments)
-    cls_state = ad.gather_rows(hidden, np.cumsum(segments) - segments)
+    cls_state = encode_forward(np.concatenate(seqs), config, pvars, segments=segments,
+                               rows=np.cumsum(segments) - segments)
     logits = ad.add(ad.matmul(cls_state, pvars["cls.w"]), pvars["cls.b"])
     loss = ad.cross_entropy(logits, golds, np.full(len(seqs), weight))
     return loss, {"cls": float(loss.value)}

@@ -99,14 +99,22 @@ def pack_loss(
             spans.append((start + d.sub_start, start + d.sub_end - 1))
             labels.append(d.label)
             repl_weights.append(1.0 / (len(ex.replacement_targets) * n_eff))
+    firsts = [a for a, _ in spans]
+    lasts = [b for _, b in spans]
+    # only the rows some head reads; head positions become indices into them
+    read = np.unique(np.asarray(mlm_rows + dd_rows + firsts + lasts, dtype=np.int64))
     hidden = encode_forward(np.asarray(ids, dtype=np.int64), config, pvars,
-                            segments=[len(ex.input_ids) for ex in pack])
+                            segments=[len(ex.input_ids) for ex in pack], rows=read)
+
+    def at(positions):
+        return np.searchsorted(read, positions).tolist()
+
     heads = multitask_heads(
         hidden, pvars,
-        mlm_positions=mlm_rows or None,
-        replacement_spans=spans or None,
+        mlm_positions=at(mlm_rows) or None,
+        replacement_spans=list(zip(at(firsts), at(lasts))) or None,
         with_dd=bool(dd_rows),
-        cls_rows=dd_rows,
+        cls_rows=at(dd_rows),
     )
     return joint_loss(
         heads,

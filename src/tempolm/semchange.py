@@ -30,34 +30,56 @@ from .similarity import cosine_similarity
 from .vocab import Vocabulary
 
 
+class _Sentence:
+    """A sentence's case-folded tokens and, once a word needs them, its subword ranges and states."""
+
+    def __init__(self, text: str):
+        self.tokens = tokenize_raw(text)
+        self.folded = [t.text.lower() for t in self.tokens]
+        self.ranges: list[tuple[int, int]] = []
+        self.hidden: np.ndarray | None = None
+
+    def states(self, params: Params, config: EncoderConfig, vocab: Vocabulary) -> np.ndarray:
+        if self.hidden is None:
+            ids = [vocab.cls_id]
+            for tok in self.tokens:
+                piece = vocab.encode_word(tok.text)
+                self.ranges.append((len(ids), len(ids) + len(piece)))
+                ids.extend(piece)
+            ids.append(vocab.sep_id)
+            with ad.no_grad():
+                self.hidden = encode_forward(ids[: config.max_len], config, wrap_params(params)).value
+        return self.hidden
+
+
 def word_representation(
     params: Params,
     config: EncoderConfig,
     vocab: Vocabulary,
     word: str,
     sentences: list[str],
+    encoded: dict[str, _Sentence] | None = None,
 ) -> np.ndarray:
-    """Mean contextual state of a word over its occurrences (case-folded)."""
+    """Mean contextual state of a word over its occurrences (case-folded).
+
+    ``encoded`` keeps each sentence's tokens and states across calls with
+    the same parameters: a sentence is encoded the first time a word occurs
+    in it, and never again.
+    """
+    encoded = {} if encoded is None else encoded
     states = []
     target = word.lower()
-    for sentence in sentences:
-        tokens = tokenize_raw(sentence)
-        hits = [i for i, t in enumerate(tokens) if t.text.lower() == target]
+    for text in sentences:
+        sentence = encoded.get(text)
+        if sentence is None:
+            sentence = encoded[text] = _Sentence(text)
+        hits = [i for i, w in enumerate(sentence.folded) if w == target]
         if not hits:
             continue
-        ids = [vocab.cls_id]
-        ranges = {}
-        for i, tok in enumerate(tokens):
-            piece = vocab.encode_word(tok.text)
-            ranges[i] = (len(ids), len(ids) + len(piece))
-            ids.extend(piece)
-        ids.append(vocab.sep_id)
-        if len(ids) > config.max_len:
-            ids = ids[: config.max_len]
-        hidden = encode_forward(ids, config, wrap_params(params)).value
+        hidden = sentence.states(params, config, vocab)
         for i in hits:
-            a, b = ranges[i]
-            if b <= len(ids):
+            a, b = sentence.ranges[i]
+            if b <= len(hidden):
                 states.append(hidden[a:b].mean(axis=0))
     if not states:
         raise MissingOccurrencesError(f"{word!r} does not occur in the period corpus")
@@ -71,10 +93,11 @@ def semantic_change_score(
     word: str,
     sentences_t1: list[str],
     sentences_t2: list[str],
+    encoded: dict[str, _Sentence] | None = None,
 ) -> float:
     """Cosine distance between the two period representations, in [0, 2]."""
-    rep1 = word_representation(params, config, vocab, word, sentences_t1)
-    rep2 = word_representation(params, config, vocab, word, sentences_t2)
+    rep1 = word_representation(params, config, vocab, word, sentences_t1, encoded)
+    rep2 = word_representation(params, config, vocab, word, sentences_t2, encoded)
     return 1.0 - cosine_similarity(rep1, rep2)
 
 
@@ -86,12 +109,18 @@ def evaluate_semantic_change(
     sentences_t1: list[str],
     sentences_t2: list[str],
 ) -> tuple[dict[str, float], float, float]:
-    """Scores per word plus correlation of scores with the gold indices."""
-    scores = {
-        word: semantic_change_score(params, config, vocab, word, sentences_t1, sentences_t2)
-        for word in sorted(gold)
-    }
+    """Scores per word plus correlation of scores with the gold indices.
+
+    Each distinct sentence is encoded once, when the first word that occurs
+    in it is scored; the scores equal those of separate
+    ``semantic_change_score`` calls.
+    """
+    encoded: dict[str, _Sentence] = {}
     words = sorted(gold)
+    scores = {
+        word: semantic_change_score(params, config, vocab, word, sentences_t1, sentences_t2, encoded)
+        for word in words
+    }
     pearson = metric_pearson([scores[w] for w in words], [gold[w] for w in words])
     spearman = metric_spearman([scores[w] for w in words], [gold[w] for w in words])
     return scores, pearson, spearman
@@ -150,8 +179,8 @@ def _mlm_loss(
     ids: list[int], targets: dict[int, int], config: EncoderConfig, pvars: dict[str, Var],
 ) -> tuple[Var, dict[str, float]]:
     """Mean cross-entropy of the MLM head at the ``targets`` positions of one sequence."""
-    hidden = encode_forward(ids, config, pvars)
     positions = sorted(targets)
-    heads = multitask_heads(hidden, pvars, mlm_positions=positions)
+    hidden = encode_forward(ids, config, pvars, rows=positions)
+    heads = multitask_heads(hidden, pvars, mlm_positions=list(range(len(positions))))
     loss = ad.cross_entropy(heads["mlm"], np.asarray([targets[p] for p in positions]))
     return loss, {"mlm": float(loss.value)}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import autodiff as ad
 from .encoder import EncoderConfig, Params, encode_forward, wrap_params
 from .errors import ConfigError
 from .finetune import FinetunedModel, instance_ids
@@ -21,8 +22,8 @@ from .vocab import Vocabulary
 def embed_text(params: Params, config: EncoderConfig, vocab: Vocabulary, text: str) -> np.ndarray:
     """Position-0 contextual representation of a raw text."""
     ids = instance_ids(vocab, text, config.max_len)
-    hidden = encode_forward(ids, config, wrap_params(params))
-    return np.array(hidden.value[0])
+    with ad.no_grad():
+        return encode_forward(ids, config, wrap_params(params), rows=[0]).value[0]
 
 
 def year_vocabulary(first: int, last: int) -> list[TimePoint]:

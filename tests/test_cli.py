@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -429,6 +433,35 @@ def test_refine_unsupported_record_version_names_its_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "line 1" in err and "version 2" in err
     assert sorted(tmp_path.iterdir()) == [bad]
+
+
+_RECORD = {"v": 1, "id": "x", "timestamp": "1999-01-01", "text": "a", "tokens": [["a", 0, 1]],
+           "spans": [], "sentences": [[0, 1]]}
+
+
+@pytest.mark.parametrize("line", [
+    json.dumps({**_RECORD, "tokens": 5}),
+    json.dumps({**_RECORD, "spans": 7}),
+    json.dumps({**_RECORD, "spans": [{"kind": "bogus", "start": 0, "end": 1, "surface": "a"}]}),
+    json.dumps({**_RECORD, "tokens": [[1]]}),
+    "[1]",
+])
+def test_refine_record_of_wrong_shape_is_line_numbered_error(tmp_path, capsys, line):
+    bad = tmp_path / "ann.jsonl"
+    bad.write_text(json.dumps(_RECORD) + "\n" + line + "\n", encoding="utf-8")
+    code = run("refine", "--in", bad, "--out", tmp_path / "ref.jsonl")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == [bad]
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "tempolm", "--help"], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "usage: tempolm" in done.stdout
 
 
 @pytest.mark.parametrize("years", ["1999", "a:b", "1999:2000:2001"])

@@ -5,7 +5,13 @@ from tempolm.bm25 import BM25, attach_top_document
 from tempolm.datasets import derive_task_span, read_task_records, record_to_instance, write_task_records
 from tempolm.encoder import EncoderConfig, init_params
 from tempolm.errors import ConfigError, MissingOccurrencesError, ParseError
-from tempolm.semchange import read_gold_shifts, semantic_change_score, word_representation
+import tempolm.semchange as semchange_mod
+from tempolm.semchange import (
+    evaluate_semantic_change,
+    read_gold_shifts,
+    semantic_change_score,
+    word_representation,
+)
 from tempolm.similarity import (
     cosine_similarity,
     scope_from_probs,
@@ -166,6 +172,48 @@ def test_semantic_change_missing_word(toy_model):
     params, config, vocab = toy_model
     with pytest.raises(MissingOccurrencesError):
         word_representation(params, config, vocab, "zeppelin", ["no such word here"])
+
+
+SEMCHANGE_T1 = [
+    "the plane was a flat surface for drawing",
+    "the chairman presided over the board",
+    "the plane was a flat surface for drawing",
+    "a meadow without any scored word",
+]
+SEMCHANGE_T2 = [
+    "the plane flew over the field in 1994",
+    "the chairman presided over the board",
+    "the board met the chairman of the plane maker",
+]
+SEMCHANGE_GOLD = {"plane": 0.9, "chairman": 0.1, "board": 0.3, "over": 0.5}
+
+
+def test_evaluate_semantic_change_equals_uncached_scores_bitwise(toy_model):
+    params, config, vocab = toy_model
+    scores, _, _ = evaluate_semantic_change(params, config, vocab, SEMCHANGE_GOLD, SEMCHANGE_T1, SEMCHANGE_T2)
+    assert list(scores) == sorted(SEMCHANGE_GOLD)
+    for word, score in scores.items():
+        alone = semantic_change_score(params, config, vocab, word, SEMCHANGE_T1, SEMCHANGE_T2)
+        assert np.float64(score).tobytes() == np.float64(alone).tobytes(), word
+
+
+def test_evaluate_semantic_change_encodes_each_sentence_once(toy_model, monkeypatch):
+    params, config, vocab = toy_model
+    encoded = []
+    forward = semchange_mod.encode_forward
+
+    def counting(ids, *args, **kwargs):
+        encoded.append(tuple(ids))
+        return forward(ids, *args, **kwargs)
+
+    monkeypatch.setattr(semchange_mod, "encode_forward", counting)
+    evaluate_semantic_change(params, config, vocab, SEMCHANGE_GOLD, SEMCHANGE_T1, SEMCHANGE_T2)
+    # the 4 distinct sentences that hold a gold word, once each; the meadow is never encoded
+    assert len(encoded) == len(set(encoded)) == 4
+    encoded.clear()
+    semantic_change_score(params, config, vocab, "plane", SEMCHANGE_T1, SEMCHANGE_T2)
+    # scored alone, "plane" encodes the 3 distinct sentences that hold it, the repeat in T1 once
+    assert len(encoded) == len(set(encoded)) == 3
 
 
 def test_gold_shift_file(tmp_path):

@@ -509,3 +509,132 @@ def test_pack_sequences_fills_in_order_up_to_the_budget():
     assert pack_sequences([5, 3, 4, 8, 1], 8) == [[0, 1], [2], [3], [4]]
     assert pack_sequences([10, 2], 8) == [[0], [1]]
     assert pack_sequences([], 8) == []
+
+
+# -- row pruning and inference without a tape ----------------------------------
+
+PRUNE_IDS = [2, 15, 7, 30, 4, 9, 21, 3, 40, 11, 12, 13]
+
+
+@pytest.mark.parametrize("dtype, rtol, atol", [("float64", 1e-10, 1e-12), ("float32", 1e-5, 1e-6)])
+@pytest.mark.parametrize("pre_norm", [True, False])
+@pytest.mark.parametrize("layers", [0, 1, 2])
+@pytest.mark.parametrize("segments", [None, [5, 3, 4]])
+def test_pruned_rows_equal_the_rows_of_the_full_forward(dtype, rtol, atol, pre_norm, layers, segments):
+    config = small_config(dtype=dtype, pre_norm=pre_norm, layers=layers)
+    pvars = wrap_params(init_params(config))
+    full = encode_forward(PRUNE_IDS, config, pvars, segments=segments).value
+    for rows in ([0], [11, 0, 5], [3, 3], [], list(range(len(PRUNE_IDS)))):
+        pruned = encode_forward(PRUNE_IDS, config, pvars, segments=segments, rows=rows).value
+        assert pruned.shape == (len(rows), config.hidden_dim) and pruned.dtype == full.dtype
+        np.testing.assert_allclose(pruned, full[rows], rtol=rtol, atol=atol, err_msg=str(rows))
+
+
+@pytest.mark.parametrize("rows", [[12], [-1], [0, 40]])
+def test_pruned_row_outside_the_sequence_raises(rows):
+    config = small_config()
+    with pytest.raises(SpanBoundsError):
+        encode_forward(PRUNE_IDS, config, wrap_params(init_params(config)), rows=rows)
+
+
+def _pruned_pack_loss(params, config):
+    from tempolm.objectives import EntityDecision, MaskSource, Objective, TrainingExample
+    from tempolm.pretrain import pack_loss
+
+    def decision(label, start, end):
+        return EntityDecision(0, "x", label, "y" if label else None, MaskSource.PERSON, start, end)
+
+    pack = [
+        TrainingExample("a", 0, PACK_EXAMPLES[0][0], PACK_EXAMPLES[0][1], 4,
+                        [decision(1, 2, 3), decision(0, 4, 6)], frozenset(Objective)),
+        TrainingExample("b", 0, PACK_EXAMPLES[1][0], {}, None, [decision(1, 1, 4)], frozenset(Objective)),
+        TrainingExample("c", 0, PACK_EXAMPLES[2][0], PACK_EXAMPLES[2][1], 0, [], frozenset(Objective)),
+    ]
+    pvars = wrap_params(params)
+    loss, _ = pack_loss(pack, 3, config, pvars)
+    return loss, pvars
+
+
+@pytest.mark.parametrize("pre_norm", [True, False])
+def test_pruned_pack_loss_gradients_match_finite_differences(pre_norm):
+    config = small_config(pre_norm=pre_norm)
+    params = init_params(config)
+    loss, pvars = _pruned_pack_loss(params, config)
+    ad.backward(loss)
+    grads = collect_grads(pvars)
+    rng = np.random.Generator(np.random.PCG64(12))
+    names = sorted(params)
+    h = 1e-5
+    for _ in range(16):
+        name = names[rng.integers(len(names))]
+        i = int(rng.integers(params[name].size))
+        base = params[name].flat[i]
+        params[name].flat[i] = base + h
+        up = float(_pruned_pack_loss(params, config)[0].value)
+        params[name].flat[i] = base - h
+        down = float(_pruned_pack_loss(params, config)[0].value)
+        params[name].flat[i] = base
+        numeric, analytic = (up - down) / (2 * h), grads[name].flat[i]
+        assert abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-6) < 1e-4, f"{name}[{i}]"
+
+
+def test_nodes_made_under_no_grad_have_no_parents(monkeypatch):
+    made = []
+
+    class Recorded(Var):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(ad, "Var", Recorded)
+    config = small_config()
+    params = init_params(config)
+
+    def forward():
+        loss, pvars = _full_loss(params, config, PRUNE_IDS, [1, 3], [5, 8], 2, [(2, 4)], [1])
+        return loss
+
+    with ad.no_grad():
+        forward()
+    assert len(made) > 50
+    assert all(node.parents == () and node.backward_fn is None for node in made)
+    made.clear()
+    forward()
+    assert sum(1 for node in made if node.parents) > 50
+
+
+def test_recording_resumes_after_no_grad_also_when_it_raises():
+    a = Var(np.ones(3))
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            with ad.no_grad():
+                assert ad.add(a, a).parents == ()
+            assert ad.add(a, a).parents == ()
+            raise RuntimeError("inside")
+    out = ad.scale(ad.add(a, a), 2.0)
+    assert out.parents and out.backward_fn is not None
+    ad.backward(ad.cross_entropy(ad.reshape(out, (1, 3)), [0]))
+    assert a.grad is not None and np.any(a.grad != 0)
+
+
+def test_inference_outputs_equal_a_recorded_forward_bitwise(monkeypatch):
+    import contextlib
+
+    from tempolm.finetune import FinetunedModel
+    from tempolm.similarity import embed_text
+
+    vocab = build_vocab(["it rained in may 1999", "the board met in 2001"], target_size=80)
+    config = EncoderConfig(layers=2, hidden_dim=32, heads=4, ffn_dim=48, max_len=32, vocab_size=vocab.size, seed=4)
+    params = init_params(config)
+    rng = np.random.Generator(np.random.PCG64(5))
+    params["cls.w"] = rng.normal(0.0, 0.5, size=(32, 5)).astype(np.float32)
+    params["cls.b"] = np.zeros(5, dtype=np.float32)
+    model = FinetunedModel(config, vocab, params, 5)
+    texts = ["it rained in may 1999", "the board met"]
+
+    def outputs():
+        return [embed_text(params, config, vocab, t).tobytes() + model.predict_proba(t).tobytes() for t in texts]
+
+    untaped = outputs()
+    monkeypatch.setattr(ad, "no_grad", contextlib.nullcontext)
+    assert outputs() == untaped

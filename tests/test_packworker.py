@@ -211,6 +211,42 @@ def test_pretrain_leaves_no_worker_and_no_shared_memory_file(one_blas_thread, mo
     assert starts == [1]
 
 
+@needs_two_cpus
+def test_train_step_after_inference_has_the_same_gradients(one_blas_thread):
+    from tempolm.annotate import annotate_document
+    from tempolm.encoder import EncoderConfig, init_params, pack_sequences
+    from tempolm.finetune import FinetunedModel
+    from tempolm.objectives import build_training_example
+    from tempolm.pretrain import pack_loss
+    from tempolm.similarity import embed_text
+    from tempolm.vocab import build_vocab
+
+    records = generate_corpus(8, start_year=1999, end_year=2000, seed=2, undated_sentence_rate=0)
+    docs = [annotate_document(r["id"], r["timestamp"], r["text"]) for r in records]
+    vocab = build_vocab([r["text"] for r in records], target_size=128)
+    config = EncoderConfig(layers=1, hidden_dim=16, heads=2, ffn_dim=24, max_len=64, vocab_size=vocab.size, seed=1)
+    examples = [build_training_example(d, frozenset({Objective.ETAMLM}), vocab, seed=1, epoch=0, max_len=64)
+                for d in docs]
+    packs = pack_sequences([len(ex.input_ids) for ex in examples], config.pack_len)
+    assert len(packs) >= 2
+
+    def gradient(infer_first: bool) -> bytes:
+        params = init_params(config)
+        optimizer = AdamW(params, lr=1e-3)
+        if infer_first:
+            head = {"cls.w": np.ones((16, 3), dtype=np.float32), "cls.b": np.zeros(3, dtype=np.float32)}
+            FinetunedModel(config, vocab, {**params, **head}, 3).predict_proba(records[0]["text"])
+            embed_text(params, config, vocab, records[1]["text"])
+        with PackWorker(optimizer) as worker:
+            train_step(params, optimizer, 0, [partial(pack_loss, [examples[i] for i in pack], len(examples), config)
+                                              for pack in packs], worker)
+            assert worker.enabled
+        assert np.any(optimizer.grad != 0)
+        return optimizer.grad.tobytes()
+
+    assert gradient(True) == gradient(False)
+
+
 # -- determinism across process counts ---------------------------------------------
 
 _RUN = (
