@@ -25,6 +25,7 @@ _TOKEN_RE = re.compile(r"(?:[A-Za-z]\.){2,}|[A-Za-z]+|[0-9]+[A-Za-z]*|[^\sA-Za-z
 
 _TERMINAL_PUNCT = {".", "!", "?"}
 _CLOSERS = {'"', "'", ")", "]", "”", "’"}
+_TERMINAL_OR_CLOSER = _TERMINAL_PUNCT | _CLOSERS
 _OPENERS = {'"', "'", "(", "[", "“", "‘"}
 
 ABBREVIATIONS = {
@@ -48,6 +49,8 @@ _MONTHS = {
 _SEASONS = {"spring", "summer", "fall", "autumn", "winter"}
 _WEEKDAYS = {"monday", "tuesday", "wednesday", "thursday", "friday", "saturday", "sunday"}
 _EDGE_MODIFIERS = {"early", "mid", "late"}
+# lowercase words that can open an expression; any other opener starts with a digit or a capital
+_LOWER_OPENERS = _SEASONS | _EDGE_MODIFIERS
 
 # Capitalized words that start sentences or noun phrases far more often than
 # they start names; kept short on purpose, the heuristic may overtag.
@@ -61,6 +64,8 @@ _CAP_STOPWORDS = {
 _YEAR_RE = re.compile(r"^[12]\d{3}$")
 _DECADE_RE = re.compile(r"^[12]\d{2}0s$")
 _SHORT_DECADE_RE = re.compile(r"^\d0s$")
+_TWO_DIGITS_RE = re.compile(r"^\d{2}$")
+_ONE_OR_TWO_DIGITS_RE = re.compile(r"^\d{1,2}$")
 _DAY_NUM_RE = re.compile(r"^([0-9]{1,2})(st|nd|rd|th)?$")
 _CAP_WORD_RE = re.compile(r"^[A-Z][a-z]+$")
 _INITIALISM_RE = re.compile(r"^(?:[A-Z]\.){2,}$")
@@ -142,7 +147,7 @@ def split_sentences(tokens: list[Token]) -> list[tuple[int, int]]:
             )
             if not abbrev:
                 j = i + 1
-                while j < n and tokens[j].text in (_TERMINAL_PUNCT | _CLOSERS):
+                while j < n and tokens[j].text in _TERMINAL_OR_CLOSER:
                     j += 1
                 if j >= n:
                     boundary = True
@@ -184,15 +189,18 @@ def _expression_candidates(tokens: list[Token]) -> list[tuple[int, int, TimePoin
     n = len(tokens)
     texts = [t.text for t in tokens]
 
-    for i in range(n):
+    # every pattern starts at a digit, a capital, a season or an edge modifier
+    openers = [i for i, t in enumerate(texts) if t[0].isdigit() or t[0].isupper() or t.lower() in _LOWER_OPENERS]
+    for i in openers:
         t = texts[i]
+        digit = t[0].isdigit()  # digit-led patterns and word-led patterns never share a start
 
         # YYYY-MM-DD written without spaces
         if (
-            i + 4 < n
+            digit and i + 4 < n
             and _YEAR_RE.match(t)
             and texts[i + 1] == "-" and texts[i + 3] == "-"
-            and re.match(r"^\d{2}$", texts[i + 2]) and re.match(r"^\d{2}$", texts[i + 4])
+            and _TWO_DIGITS_RE.match(texts[i + 2]) and _TWO_DIGITS_RE.match(texts[i + 4])
             and all(_adjacent(tokens, k, k + 1) for k in range(i, i + 4))
         ):
             try:
@@ -203,10 +211,10 @@ def _expression_candidates(tokens: list[Token]) -> list[tuple[int, int, TimePoin
 
         # MM/DD/YYYY written without spaces
         if (
-            i + 4 < n
-            and re.match(r"^\d{1,2}$", t)
+            digit and i + 4 < n
+            and _ONE_OR_TWO_DIGITS_RE.match(t)
             and texts[i + 1] == "/" and texts[i + 3] == "/"
-            and re.match(r"^\d{1,2}$", texts[i + 2]) and _YEAR_RE.match(texts[i + 4])
+            and _ONE_OR_TWO_DIGITS_RE.match(texts[i + 2]) and _YEAR_RE.match(texts[i + 4])
             and all(_adjacent(tokens, k, k + 1) for k in range(i, i + 4))
         ):
             try:
@@ -216,7 +224,7 @@ def _expression_candidates(tokens: list[Token]) -> list[tuple[int, int, TimePoin
                 pass
 
         # Month name [day] [,] [year] / month name "of" year
-        month = _is_month(t)
+        month = None if digit else _is_month(t)
         if month is not None:
             j = i + 1
             day = None
@@ -239,19 +247,19 @@ def _expression_candidates(tokens: list[Token]) -> list[tuple[int, int, TimePoin
                 out.append((i, j, None))
 
         # Decades: "1990s", "the 1990s", "the '90s"
-        if _DECADE_RE.match(t):
+        if digit and _DECADE_RE.match(t):
             start = i - 1 if i > 0 and texts[i - 1].lower() == "the" else i
             out.append((start, i + 1, TimePoint(int(t[:-1]), granularity=Granularity.DECADE)))
-        if _SHORT_DECADE_RE.match(t) and i > 0 and texts[i - 1] in {"'", "’"}:
+        if digit and _SHORT_DECADE_RE.match(t) and i > 0 and texts[i - 1] in {"'", "’"}:
             start = i - 2 if i > 1 and texts[i - 2].lower() == "the" else i - 1
             out.append((start, i + 1, None))  # century unknown
 
         # Bare 4-digit year 1000-2999
-        if _YEAR_RE.match(t):
+        if digit and _YEAR_RE.match(t):
             out.append((i, i + 1, TimePoint(int(t), granularity=Granularity.YEAR)))
 
         # Season + year ("summer 2006", "Winter of 1999")
-        if t.lower() in _SEASONS:
+        if not digit and t.lower() in _SEASONS:
             j = i + 1
             if j < n and texts[j] == "of":
                 j += 1
@@ -259,7 +267,7 @@ def _expression_candidates(tokens: list[Token]) -> list[tuple[int, int, TimePoin
                 out.append((i, j + 1, TimePoint(int(texts[j]), granularity=Granularity.YEAR)))
 
         # early/mid/late + year or decade, optionally hyphenated or "the"-marked
-        if t.lower() in _EDGE_MODIFIERS:
+        if not digit and t.lower() in _EDGE_MODIFIERS:
             j = i + 1
             if j < n and texts[j] in {"-", "the"}:
                 j += 1
@@ -335,11 +343,15 @@ def tag_temporal_signals(
     spans: list[Span] = []
     n = len(tokens)
     max_len = lexicon.max_phrase_len
-    i = 0
-    while i < n:
+    lowered = [t.text.lower() for t in tokens]
+    first_words = {key[0] for key in lexicon.entries if key}
+    resume = 0  # the first token after the last match
+    for i in [i for i, word in enumerate(lowered) if word in first_words]:
+        if i < resume:
+            continue
         matched = None
         for length in range(min(max_len, n - i), 0, -1):
-            key = tuple(tokens[i + k].text.lower() for k in range(length))
+            key = tuple(lowered[i : i + length])
             relation = lexicon.entries.get(key)
             if relation is None:
                 continue
@@ -354,15 +366,15 @@ def tag_temporal_signals(
             spans.append(
                 Span(SpanKind.TEMPORAL_SIGNAL, i, i + length, _surface(text, tokens, i, i + length), relation=relation)
             )
-            i += length
-        else:
-            i += 1
+            resume = i + length
     return spans
 
 
 def _namelike_elements(tokens: list[Token], i: int) -> int:
     """Length in tokens of the namelike element starting at ``i`` (0 if none)."""
     t = tokens[i].text
+    if not t[0].isupper():
+        return 0
     if _CAP_WORD_RE.match(t):
         if t in _CAP_STOPWORDS or t.lower() in _MONTHS or t.lower() in _SEASONS or t.lower() in _WEEKDAYS:
             return 0
@@ -386,14 +398,14 @@ def tag_persons_heuristic(tokens: list[Token], text: str | None = None, blocked:
     blocked = blocked or set()
     spans: list[Span] = []
     n = len(tokens)
-    i = 0
-    while i < n:
-        if i in blocked:
-            i += 1
+    resume = 0  # the first token after the last span
+    # honorifics and name-like elements are capitalized
+    for i in [i for i, t in enumerate(tokens) if t.text[0].isupper() and i not in blocked]:
+        if i < resume:
             continue
         start = None
         j = i
-        honorific = tokens[i].text.rstrip(".").lower() in HONORIFICS and tokens[i].text[0].isupper()
+        honorific = tokens[i].text.rstrip(".").lower() in HONORIFICS
         if honorific:
             start = i
             j = i + 1
@@ -408,12 +420,10 @@ def tag_persons_heuristic(tokens: list[Token], text: str | None = None, blocked:
         run_len = j - run_start
         if honorific and run_len >= 1:
             spans.append(Span(SpanKind.PERSON, start, j, _surface(text, tokens, start, j)))
-            i = j
+            resume = j
         elif not honorific and run_len >= 2:
             spans.append(Span(SpanKind.PERSON, run_start, j, _surface(text, tokens, run_start, j)))
-            i = j
-        else:
-            i += 1
+            resume = j
     return spans
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TypeVar
 
@@ -92,6 +93,11 @@ def record_to_document(rec: dict) -> AnnotatedDocument:
     part = "tokens"
     try:
         tokens = [Token(t[0], t[1], t[2]) for t in rec["tokens"]]
+        # the types present, each field in one C-level pass
+        texts = set(map(type, map(attrgetter("text"), tokens)))
+        offsets = set(map(type, map(attrgetter("char_start"), tokens))) | set(map(type, map(attrgetter("char_end"), tokens)))
+        if texts - {str} or offsets - {int}:
+            raise TypeError("token text must be a string and its offsets integers")
         part = "spans"
         spans = []
         for s in rec["spans"]:

@@ -10,6 +10,7 @@ encodes and decodes losslessly.
 
 from __future__ import annotations
 
+import heapq
 import json
 import re
 from dataclasses import dataclass, field
@@ -95,10 +96,16 @@ class Vocabulary:
         cached = self._word_cache.get(word)
         if cached is not None:
             return list(cached)
+        # Apply the earliest merge present (merged ids grow with rank) until
+        # none is. This equals applying every merge in learned order: a merge
+        # only makes pairs that hold its new id, and no earlier merge names it.
         ids = self._char_ids(word)
-        for (a, b, merged) in self.merges:
-            if len(ids) < 2:
+        table = self._merge_table
+        while len(ids) > 1:
+            ranked = [(table[p], p) for p in zip(ids, ids[1:]) if p in table]
+            if not ranked:
                 break
+            merged, (a, b) = min(ranked)
             ids = _merge_pair(ids, a, b, merged)
         self._word_cache[word] = tuple(ids)
         return list(ids)
@@ -192,33 +199,51 @@ def build_vocab(corpus: "list[str] | dict[str, int]", target_size: int) -> Vocab
 
     # words as id sequences; characters that missed the budget fall back to
     # bytes at encode time and never participate in merges (-1 blocks pairs)
-    encoded = {
-        word: [id_of.get(ch, -1) for ch in word]
-        for word in sorted(word_freq)
-    }
+    words = sorted(word_freq)
+    seqs = [[id_of.get(ch, -1) for ch in word] for word in words]
+    # Pair counts and the words holding each pair stay exact as merges rewrite
+    # words, so a merge touches only the words that hold its pair. A heap of
+    # (-count, left, right) entries yields the pair a full recount would pick;
+    # entries whose count is out of date are skipped. No two pairs tie on their
+    # strings: merges inside a string run as in that string alone, so no string
+    # is made twice.
+    counts: dict[tuple[int, int], int] = {}
+    holders: dict[tuple[int, int], set[int]] = {}
+    heap: list[tuple] = []
     merges: list[tuple[int, int, int]] = []
-    while len(tokens) < target_size:
-        pair_counts: dict[tuple[int, int], int] = {}
-        for word, ids in encoded.items():
-            freq = word_freq[word]
-            for i in range(len(ids) - 1):
-                if ids[i] < 0 or ids[i + 1] < 0:
-                    continue
-                pair = (ids[i], ids[i + 1])
-                pair_counts[pair] = pair_counts.get(pair, 0) + freq
-        if not pair_counts:
+    rewrite, best = range(len(words)), None  # the first pass counts every word
+    while True:
+        delta: dict[tuple[int, int], int] = {}
+        for w in list(rewrite):
+            freq = word_freq[words[w]]
+            if best is not None:
+                for p in _pairs(seqs[w]):
+                    delta[p] = delta.get(p, 0) - freq
+                    holders[p].discard(w)
+                seqs[w] = _merge_pair(seqs[w], best[0], best[1], len(tokens) - 1)
+            for p in _pairs(seqs[w]):
+                delta[p] = delta.get(p, 0) + freq
+                holders.setdefault(p, set()).add(w)
+        for p, d in delta.items():
+            if not holders[p]:
+                del holders[p], counts[p]
+            elif d or p not in counts:
+                counts[p] = counts.get(p, 0) + d
+                heapq.heappush(heap, (-counts[p], tokens[p[0]], tokens[p[1]], *p))
+        while heap and counts.get(heap[0][3:]) != -heap[0][0]:
+            heapq.heappop(heap)
+        if len(tokens) >= target_size or not heap:
             break
-        best = min(
-            pair_counts,
-            key=lambda p: (-pair_counts[p], tokens[p[0]], tokens[p[1]]),
-        )
-        merged_id = len(tokens)
+        best = heap[0][3:]
+        merges.append((best[0], best[1], len(tokens)))
         tokens.append(tokens[best[0]] + tokens[best[1]])
-        merges.append((best[0], best[1], merged_id))
-        for word in encoded:
-            encoded[word] = _merge_pair(encoded[word], best[0], best[1], merged_id)
+        rewrite = holders[best]
 
     return Vocabulary(tokens, merges)
+
+
+def _pairs(ids: list[int]) -> list[tuple[int, int]]:
+    return [p for p in zip(ids, ids[1:]) if p[0] >= 0 and p[1] >= 0]
 
 
 def _count_pieces(texts: list[str]) -> dict[str, int]:

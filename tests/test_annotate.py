@@ -140,6 +140,18 @@ def test_signal_multiword():
     assert spans[0].relation is Relation.BEFORE
 
 
+def test_overlapping_lexicon_phrases_match_leftmost_longest_without_overlap():
+    lex = SignalLexicon()
+    lex.add("at the", Relation.OVERLAP)
+    lex.add("the end of", Relation.BEFORE)
+    lex.add("of", Relation.AFTER)
+    text = "at the end of the war, then the end of it"
+    spans = tag_temporal_signals(tokenize_raw(text), lex, text=text)
+    assert [(s.surface, s.relation) for s in spans] == [
+        ("at the", Relation.OVERLAP), ("of", Relation.AFTER), ("the end of", Relation.BEFORE),
+    ]
+
+
 def test_restricted_preposition_requires_expression():
     lex = SignalLexicon.default()
     with_expr = "in 2006"
@@ -191,6 +203,12 @@ def test_person_heuristic_initialism_run():
     text = "then Notorious B.I.G. arrived"
     spans = tag_persons_heuristic(tokenize_raw(text), text)
     assert [s.surface for s in spans] == ["Notorious B.I.G."]
+
+
+def test_person_heuristic_resumes_after_each_span():
+    text = "John F. Kennedy met Mr. John Smith Jones"
+    spans = tag_persons_heuristic(tokenize_raw(text), text)
+    assert [s.surface for s in spans] == ["John F. Kennedy", "Mr. John Smith Jones"]
 
 
 def test_person_heuristic_lowercase_yields_nothing():

@@ -456,6 +456,25 @@ def test_refine_record_of_wrong_shape_is_line_numbered_error(tmp_path, capsys, l
     assert sorted(tmp_path.iterdir()) == [bad]
 
 
+@pytest.mark.parametrize("stage", ["refine", "examples"])
+@pytest.mark.parametrize("tokens", [
+    [["a", 0, 1], [1999, 2, 6]],
+    [["a", 0, 1], ["1999", 2.0, 6]],
+    [["a", 0, 1], ["1999", 2, "6"]],
+    [["a", 0, 1], ["1999", True, 6]],
+])
+def test_token_of_wrong_type_is_line_numbered_error(tmp_path, capsys, stage, tokens):
+    bad = tmp_path / "ann.jsonl"
+    record = {**_RECORD, "text": "a 1999", "tokens": tokens, "sentences": [[0, 2]]}
+    bad.write_text(json.dumps(_RECORD) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+    extra = ("--objectives", "etamlm") if stage == "examples" else ()
+    code = run(stage, "--in", bad, "--out", tmp_path / "out.jsonl", *extra)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and "'tokens'" in err and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == [bad]
+
+
 def test_python_dash_m_runs_the_cli():
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}

@@ -1,7 +1,10 @@
+import hashlib
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
+from tempolm import objectives
 from tempolm.annotate import SpanKind, annotate_document
 from tempolm.corpus import (
     EntityCalendar,
@@ -17,7 +20,10 @@ from tempolm.corpus import (
     write_documents,
 )
 from tempolm.errors import ParseError
+from tempolm.lexicon import SignalLexicon
+from tempolm.synth import generate_corpus
 from tempolm.timescale import Granularity
+from tempolm.vocab import build_vocab
 
 
 def make_doc(doc_id="d1", ts="2007-05-04", text="Before 2006, Tupac Shakur quit. No dates here. Again in 1999 he returned."):
@@ -156,3 +162,52 @@ def test_split_deterministic():
     assert a == b
     c = split_dataset(list(range(50)), seed=10)
     assert a != c
+
+
+# words that open every kind of span, mixed with arbitrary text
+_texts = st.lists(
+    st.sampled_from([
+        "In", "in", "1999", "the", "1990s", "'", "90s", "May", "4th", ",", ".", "!", "of", "Mr.", "Dr", "J.",
+        "U.S.", "Smith", "Tupac", "Shakur", "before", "prior", "to", "since", "early", "-", "summer", "Winter",
+        "2006-05-04", "12/25/1999", "\n", "\u00e9t\u00e9",
+    ]) | st.text(max_size=6),
+    max_size=40,
+).map(" ".join)
+
+
+@given(_texts)
+def test_annotated_record_round_trip_returns_an_equal_document(text):
+    doc = annotate_document("d", "2001-02-03", text)
+    assert record_to_document(json.loads(json.dumps(document_to_record(doc)))) == doc
+
+
+@given(_texts)
+def test_refine_is_idempotent_on_arbitrary_text(text):
+    once = refine_document(annotate_document("d", "2001-02-03", text))
+    if once is not None:
+        assert refine_document(once) == once
+
+
+def _sha256(lines):
+    return hashlib.sha256("".join(line + "\n" for line in lines).encode("utf-8")).hexdigest()
+
+
+def test_ingest_pipeline_bytes_are_pinned():
+    """Annotate, refine, record round trip, vocabulary and one epoch of examples on a
+    seeded corpus write pinned bytes: a speed-up of any stage must leave them as they are."""
+    lexicon = SignalLexicon.default()
+    records = generate_corpus(150, seed=11, sentences_per_doc=4, undated_sentence_rate=0.2)
+    docs = [annotate_document(r["id"], r["timestamp"], r["text"], lexicon=lexicon) for r in records]
+    lines = [json.dumps(document_to_record(d), sort_keys=True, ensure_ascii=False)
+             for d in refine_corpus(docs)]
+    kept = [record_to_document(json.loads(line)) for line in lines]
+    span, calendar = derive_corpus_span(kept), build_entity_calendar(kept)
+    below, above = (build_vocab([d.text for d in kept], target_size=size) for size in (200, 512))
+    assert below.named_size == 200 and above.named_size < 512  # 512 lies past the last possible merge
+    joint = {objectives.Objective.ETAMLM, objectives.Objective.DD, objectives.Objective.TSER}
+    examples = [json.dumps(objectives.example_to_record(objectives.build_training_example(
+        d, joint, above, span=span, calendar=calendar, lexicon=lexicon, seed=5, max_len=64)), sort_keys=True)
+        for d in kept]
+    assert (len(lines), _sha256(lines)) == (150, "9123cff6ab9b13c5cdf4fbc32d10f123dd8880656d2675e243b1394eec8661a6")
+    assert _sha256([below.dumps(), above.dumps()]) == "1dc5e8cb3bde418d854c5092a37d9730426dc3e59cceb492f8cffa19e00dfdd7"
+    assert _sha256(examples) == "ca2f69887d4f1da00b893693f3b16d9588fef33d9adcb5bccb35a910bc4e9b36"

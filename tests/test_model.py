@@ -303,6 +303,46 @@ def test_adamw_flat_update_equals_per_tensor_update_bitwise(dtype):
         assert opt.state_tensors()[f"adam.v.{k}"].tobytes() == v[k].tobytes()
 
 
+def _gather_rows_adjoint(table, indices, g):
+    return ad.gather_rows(Var(table), indices).backward_fn(g)[0]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("indices", [
+    [0, 2, 3, 7],           # distinct and increasing: one add per row
+    [5, 1, 5, 5, 0, 1],     # duplicates: the flat scatter
+    [3, -1, 7, -8, 2],      # negative rows
+    [-1, 7],                # the same row twice, once negative
+    [],
+])
+def test_gather_rows_adjoint_equals_add_at_bitwise(dtype, indices):
+    rng = np.random.default_rng(1)
+    table = rng.normal(size=(8, 5)).astype(dtype)
+    idx = np.asarray(indices, dtype=np.int64)
+    g = rng.normal(size=(len(idx), 5)).astype(dtype)
+    g[::2, 1] = -0.0
+    g[1::2, 2] = -g[::2, 2][: len(g[1::2])]  # duplicates that cancel
+    expected = np.zeros_like(table)
+    np.add.at(expected, idx, g)
+    assert _gather_rows_adjoint(table, idx, g).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gather_rows_adjoint_equals_add_at_on_random_indices(dtype):
+    rng = np.random.default_rng(2)
+    for case in range(100):
+        rows, width = int(rng.integers(1, 12)), int(rng.integers(1, 6))
+        idx = rng.integers(-rows, rows, size=int(rng.integers(0, 20)))
+        if case % 2:
+            idx = np.unique(idx % rows)  # sorted and distinct
+        g = rng.normal(size=(len(idx), width)).astype(dtype)
+        g[rng.random(g.shape) < 0.2] = -0.0
+        expected = np.zeros((rows, width), dtype)
+        np.add.at(expected, idx, g)
+        got = _gather_rows_adjoint(np.zeros((rows, width), dtype), idx, g)
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_adamw_rejects_mixed_dtypes():
     with pytest.raises(ConfigError, match="mixed dtypes"):
         AdamW({"a": np.zeros(2, dtype=np.float32), "b": np.zeros(2, dtype=np.float64)})

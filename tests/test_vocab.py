@@ -64,3 +64,61 @@ def test_json_roundtrip():
     clone = Vocabulary.loads(vocab.dumps())
     assert clone.tokens == vocab.tokens
     assert clone.encode_text("words 2001") == vocab.encode_text("words 2001")
+
+
+def _merge_all(ids, a, b, merged):
+    out, i = [], 0
+    while i < len(ids):
+        if i + 1 < len(ids) and ids[i] == a and ids[i + 1] == b:
+            out.append(merged)
+            i += 2
+        else:
+            out.append(ids[i])
+            i += 1
+    return out
+
+
+def _reference_build_vocab(word_freq, target_size):
+    """Recount every pair of every word after each merge, as build_vocab must reproduce it."""
+    char_freq = {}
+    for word, freq in word_freq.items():
+        for ch in word:
+            char_freq[ch] = char_freq.get(ch, 0) + freq
+    tokens = list(SPECIALS) + sorted(char_freq, key=lambda c: (-char_freq[c], c))[: target_size - len(SPECIALS)]
+    id_of = {tok: i for i, tok in enumerate(tokens)}
+    encoded = {w: [id_of.get(ch, -1) for ch in w] for w in sorted(word_freq) if not w.isspace()}
+    merges = []
+    while len(tokens) < target_size:
+        counts = {}
+        for word, ids in encoded.items():
+            for pair in zip(ids, ids[1:]):
+                if min(pair) >= 0:
+                    counts[pair] = counts.get(pair, 0) + word_freq[word]
+        if not counts:
+            break
+        a, b = min(counts, key=lambda p: (-counts[p], tokens[p[0]], tokens[p[1]]))
+        merges.append((a, b, len(tokens)))
+        tokens.append(tokens[a] + tokens[b])
+        encoded = {w: _merge_all(ids, a, b, len(tokens) - 1) for w, ids in encoded.items()}
+    return tokens, merges
+
+
+_word_tables = st.dictionaries(st.text(alphabet="abc é", min_size=1, max_size=8), st.integers(0, 6), max_size=12)
+
+
+@given(_word_tables, st.integers(len(SPECIALS), 40))
+def test_build_vocab_equals_full_recount(word_freq, target_size):
+    vocab = build_vocab(dict(word_freq), target_size)
+    assert (vocab.tokens, vocab.merges) == _reference_build_vocab(word_freq, target_size)
+
+
+@given(_word_tables, st.integers(len(SPECIALS), 40),
+       st.text(alphabet=st.sampled_from("abc éd€\U0001F600") | st.characters(), max_size=16))
+def test_encode_word_equals_every_merge_in_order(word_freq, target_size, word):
+    vocab = build_vocab(dict(word_freq), target_size)
+    for text in [*word_freq, word, word.join(word_freq)]:
+        ids = vocab._char_ids(text)
+        for a, b, merged in vocab.merges:
+            ids = _merge_all(ids, a, b, merged)
+        assert vocab.encode_word(text) == ids
+        assert vocab.decode(ids) == text
