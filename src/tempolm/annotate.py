@@ -14,8 +14,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
-from .errors import AnnotationAlignmentError, TimestampParseError
+from .errors import AnnotationAlignmentError
 from .lexicon import Relation, SignalLexicon
 from .timescale import Granularity, TimePoint, parse_timestamp
 
@@ -77,8 +78,7 @@ class SpanKind(str, Enum):
     PERSON = "person"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     text: str
     char_start: int
     char_end: int
@@ -296,10 +296,8 @@ def _surface(text: str, tokens: list[Token], start: int, end: int) -> str:
     return text[tokens[start].char_start : tokens[end - 1].char_end]
 
 
-def tag_temporal_expressions(tokens: list[Token], text: str | None = None) -> list[Span]:
+def tag_temporal_expressions(tokens: list[Token], text: str) -> list[Span]:
     """Non-overlapping temporal-expression spans from the pattern inventory."""
-    if text is None:
-        text = _render(tokens)
     spans = []
     for start, end, norm in _select_nonoverlapping(_expression_candidates(tokens)):
         spans.append(
@@ -308,21 +306,11 @@ def tag_temporal_expressions(tokens: list[Token], text: str | None = None) -> li
     return spans
 
 
-def _render(tokens: list[Token]) -> str:
-    out = []
-    pos = 0
-    for t in tokens:
-        out.append(" " * (t.char_start - pos))
-        out.append(t.text)
-        pos = t.char_end
-    return "".join(out)
-
-
 def tag_temporal_signals(
     tokens: list[Token],
     lexicon: SignalLexicon,
+    text: str,
     expressions: list[Span] | None = None,
-    text: str | None = None,
 ) -> list[Span]:
     """Lexicon matches as signal spans, longest match first.
 
@@ -330,8 +318,6 @@ def tag_temporal_signals(
     context-restricted prepositions are tagged only when the token right
     after them opens a temporal expression.
     """
-    if text is None:
-        text = _render(tokens)
     if expressions is None:
         expressions = tag_temporal_expressions(tokens, text)
     in_expression = set()
@@ -386,15 +372,13 @@ def _namelike_elements(tokens: list[Token], i: int) -> int:
     return 0
 
 
-def tag_persons_heuristic(tokens: list[Token], text: str | None = None, blocked: set[int] | None = None) -> list[Span]:
+def tag_persons_heuristic(tokens: list[Token], text: str, blocked: set[int] | None = None) -> list[Span]:
     """Capitalized-run + honorific person tagger.
 
     Tags honorific-led names ("Mr. Smith") and runs of two or more
     capitalized name-like tokens ("Tupac Shakur"); single bare surnames are
     left to external annotation.
     """
-    if text is None:
-        text = _render(tokens)
     blocked = blocked or set()
     spans: list[Span] = []
     n = len(tokens)
@@ -482,15 +466,12 @@ def annotate_document(
     ``persons=None`` selects the heuristic tagger; a (possibly empty) list
     selects external mode. Spans crossing sentence bounds are discarded.
     """
-    try:
-        timestamp = parse_timestamp(timestamp_text)
-    except TimestampParseError:
-        raise
+    timestamp = parse_timestamp(timestamp_text)
     lexicon = lexicon or SignalLexicon.default()
     tokens = tokenize_raw(text)
     bounds = split_sentences(tokens)
     expressions = tag_temporal_expressions(tokens, text)
-    signals = tag_temporal_signals(tokens, lexicon, expressions, text)
+    signals = tag_temporal_signals(tokens, lexicon, text, expressions)
     blocked = set()
     for s in expressions + signals:
         blocked.update(range(s.token_start, s.token_end))

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence, TypeVar
 import numpy as np
 
 from .annotate import AnnotatedDocument, Span, SpanKind, Token
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, TimestampParseError
 from .lexicon import Relation
 from .manifest import jsonl_line, read_json, write_atomic
 from .timescale import CorpusSpan, Granularity, TimePoint, parse_timestamp
@@ -53,6 +53,10 @@ def parse_raw_record(line: str, lineno: int | None = None) -> dict:
             raise ParseError(f"missing field {key!r}", lineno)
     if not isinstance(rec["text"], str):
         raise ParseError("field 'text' must be a string", lineno)
+    try:
+        parse_timestamp(rec["timestamp"])
+    except (TimestampParseError, TypeError) as exc:
+        raise ParseError(f"bad field 'timestamp': {exc}", lineno) from None
     if "persons" in rec and rec["persons"] is not None:
         persons = rec["persons"]
         if not isinstance(persons, list) or any(
@@ -90,8 +94,10 @@ def record_to_document(rec: dict) -> AnnotatedDocument:
         raise ParseError("annotated record must be a JSON object")
     if rec.get("v") != SCHEMA_VERSION:
         raise ParseError(f"unsupported annotated-record version {rec.get('v')!r}")
-    part = "tokens"
+    part = "timestamp"
     try:
+        timestamp = parse_timestamp(rec["timestamp"])
+        part = "tokens"
         tokens = [Token(t[0], t[1], t[2]) for t in rec["tokens"]]
         # the types present, each field in one C-level pass
         texts = set(map(type, map(attrgetter("text"), tokens)))
@@ -112,11 +118,14 @@ def record_to_document(rec: dict) -> AnnotatedDocument:
             ))
         part = "sentences"
         sentence_bounds = [tuple(b) for b in rec["sentences"]]
+    except TimestampParseError as exc:  # the record's timestamp or a span's normalization
+        what = "timestamp" if part == "timestamp" else "normalized"
+        raise ParseError(f"bad field {what!r} in annotated record: {exc}") from None
     except (TypeError, ValueError, IndexError, AttributeError) as exc:
         raise ParseError(f"bad field {part!r} in annotated record: {exc}") from None
     return AnnotatedDocument(
         id=rec["id"],
-        timestamp=parse_timestamp(rec["timestamp"]),
+        timestamp=timestamp,
         text=rec["text"],
         tokens=tokens,
         spans=spans,
@@ -220,12 +229,10 @@ class EntityCalendar:
         return EntityCalendar.from_json(read_json(path))
 
 
-def build_entity_calendar(docs: Iterable[AnnotatedDocument], span: CorpusSpan | None = None) -> EntityCalendar:
+def build_entity_calendar(docs: Iterable[AnnotatedDocument]) -> EntityCalendar:
     """Collect person surfaces per publication month."""
     cal = EntityCalendar()
     for doc in docs:
-        if span is not None and not span.contains(doc.timestamp):
-            raise ConfigError(f"document {doc.id} at {doc.timestamp.render()} outside {span.render()}")
         for sp in doc.spans_of_kind(SpanKind.PERSON):
             cal.add(doc.month_key, sp.surface)
     return cal
@@ -249,18 +256,12 @@ def derive_corpus_span(docs: Iterable[AnnotatedDocument]) -> CorpusSpan:
     )
 
 
-def split_dataset(
-    items: Sequence[T],
-    ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
-    seed: int = 0,
-) -> tuple[list[T], list[T], list[T]]:
-    """Deterministic shuffled split with floor/floor/remainder sizes."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"split ratios must sum to 1, got {ratios}")
+def split_dataset(items: Sequence[T], seed: int = 0) -> tuple[list[T], list[T], list[T]]:
+    """Deterministic shuffled 80/10/10 split with floor/floor/remainder sizes."""
     n = len(items)
     order = np.random.Generator(np.random.PCG64(seed)).permutation(n)
-    n_train = int(ratios[0] * n)
-    n_val = int(ratios[1] * n)
+    n_train = int(0.8 * n)
+    n_val = int(0.1 * n)
     train = [items[i] for i in order[:n_train]]
     val = [items[i] for i in order[n_train : n_train + n_val]]
     test = [items[i] for i in order[n_train + n_val :]]

@@ -8,7 +8,6 @@ earlier grid point, so selection is deterministic under a fixed seed.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
@@ -21,6 +20,7 @@ from .checkpoint import EncoderCheckpoint
 from .encoder import EncoderConfig, Params, encode_forward, pack_sequences, wrap_params
 from .encoder import collect_grads  # noqa: F401  # perfbench/layers.py traces this module's binding
 from .errors import ConfigError
+from .objectives import example_rng
 from .optim import AdamW
 from .packworker import PackWorker
 from .pretrain import train_step
@@ -87,11 +87,6 @@ class FinetunedModel:
         return int(np.argmax(self.predict_proba(text)))
 
 
-def _finetune_rng(seed: int, tag: str) -> np.random.Generator:
-    digest = hashlib.sha256(f"finetune|{seed}|{tag}".encode()).digest()
-    return np.random.Generator(np.random.PCG64(int.from_bytes(digest[:8], "little")))
-
-
 def _train_one(
     base_params: Params,
     config: EncoderConfig,
@@ -104,14 +99,14 @@ def _train_one(
     seed: int,
 ) -> Params:
     params = {k: v.copy() for k, v in base_params.items()}
-    head_rng = _finetune_rng(seed, "head")
+    head_rng = example_rng("finetune", seed, "head")
     params["cls.w"] = head_rng.normal(0.0, 0.02, size=(config.hidden_dim, n_classes)).astype(config.np_dtype)
     params["cls.b"] = np.zeros(n_classes, dtype=config.np_dtype)
     optimizer = AdamW(params, lr=lr, weight_decay=0.01)
     n = len(train_ids)
     with PackWorker(optimizer) as worker:
         for epoch in range(epochs):
-            order = _finetune_rng(seed, f"order{epoch}").permutation(n).tolist()
+            order = example_rng("finetune", seed, f"order{epoch}").permutation(n).tolist()
             for start in range(0, n, batch_size):
                 batch = order[start : start + batch_size]
                 packs = pack_sequences([len(train_ids[i]) for i in batch], config.pack_len)

@@ -27,7 +27,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -111,10 +111,21 @@ class TrainingExample:
     objectives: frozenset[Objective]
 
 
-def example_rng(seed: int, doc_id: str, epoch: int) -> np.random.Generator:
-    """Stream keyed by (seed, doc id, epoch); parallel order cannot matter."""
-    digest = hashlib.sha256(f"{seed}|{doc_id}|{epoch}".encode("utf-8")).digest()
+def example_rng(*key) -> np.random.Generator:
+    """Stream keyed by the ``|``-joined key, e.g. (seed, doc id, epoch); parallel order cannot matter.
+
+    The one keyed stream of the package: examples use (seed, doc id, epoch),
+    pre-training's document order ("order", seed, epoch), fine-tuning
+    ("finetune", seed, tag) and period adaptation (seed, "adapt<i>", epoch).
+    """
+    digest = hashlib.sha256("|".join(map(str, key)).encode("utf-8")).digest()
     return np.random.Generator(np.random.PCG64(int.from_bytes(digest[:8], "little")))
+
+
+def mask_action(rng: np.random.Generator) -> MaskAction:
+    """BERT's 80/10/10 draw for one sampled position: mask, random replacement or keep."""
+    u = rng.random()
+    return MaskAction.MASK if u < 0.8 else MaskAction.RANDOM_REPLACE if u < 0.9 else MaskAction.KEEP
 
 
 def ceil_rate(count: int, rate: float) -> int:
@@ -206,17 +217,7 @@ def _sample_masks(
         for i in picked:
             source_at[pool[i]] = MaskSource.ORDINARY
 
-    decisions: list[MaskDecision] = []
-    for position in sorted(source_at):
-        u = rng.random()
-        if u < 0.8:
-            action = MaskAction.MASK
-        elif u < 0.9:
-            action = MaskAction.RANDOM_REPLACE
-        else:
-            action = MaskAction.KEEP
-        decisions.append(MaskDecision(position, action, view.flat_id(position), source_at[position]))
-    return decisions
+    return [MaskDecision(p, mask_action(rng), view.flat_id(p), source_at[p]) for p in sorted(source_at)]
 
 
 def sample_etamlm(
@@ -233,13 +234,31 @@ def sample_tsemlm(
     return _sample_masks(view, rates, rng, include_persons=True)
 
 
-def _unsampled_spans(view: SubwordView, spans: list[Span], decisions: list[MaskDecision]) -> list[Span]:
+def _replace_spans(
+    view: SubwordView,
+    decisions: list[MaskDecision],
+    kind: SpanKind,
+    source: MaskSource,
+    alternatives_of: Callable[[Span], list[str]],
+    rng: np.random.Generator,
+    p_replace: float,
+) -> list[EntityDecision]:
+    """One replaced/not-replaced decision per ``kind`` span untouched by masking.
+
+    A span replaced with probability ``p_replace`` takes a uniform pick from
+    its alternatives; a span without alternatives is not replaced and draws
+    nothing.
+    """
     sampled = {d.position for d in decisions}
-    out = []
-    for span in spans:
+    out: list[EntityDecision] = []
+    for span in view.doc.spans_of_kind(kind):
         a, b = view.span_range(span)
-        if not any(p in sampled for p in range(a, b)):
-            out.append(span)
+        if any(p in sampled for p in range(a, b)):
+            continue
+        alternatives = alternatives_of(span)
+        replaced = bool(alternatives) and rng.random() < p_replace
+        replacement = alternatives[int(rng.integers(len(alternatives)))] if replaced else None
+        out.append(EntityDecision(span.token_start, span.surface, int(replaced), replacement, source))
     return out
 
 
@@ -256,20 +275,12 @@ def apply_tser(
     minus the original surface; a span whose month set offers no
     alternative is forced not-replaced.
     """
-    doc = view.doc
-    month = doc.month_key
+    month = view.doc.month_key
     if month not in calendar.months:
         raise CalendarMissError(f"no calendar entry for month {month}")
-    pool_all = calendar.months[month]
-    out: list[EntityDecision] = []
-    for span in _unsampled_spans(view, doc.spans_of_kind(SpanKind.PERSON), decisions):
-        alternatives = sorted(pool_all - {span.surface})
-        if alternatives and rng.random() < p_replace:
-            replacement = alternatives[int(rng.integers(len(alternatives)))]
-            out.append(EntityDecision(span.token_start, span.surface, 1, replacement, MaskSource.PERSON))
-        else:
-            out.append(EntityDecision(span.token_start, span.surface, 0, None, MaskSource.PERSON))
-    return out
+    pool = calendar.months[month]
+    return _replace_spans(view, decisions, SpanKind.PERSON, MaskSource.PERSON,
+                          lambda span: sorted(pool - {span.surface}), rng, p_replace)
 
 
 def apply_trwr(
@@ -285,24 +296,15 @@ def apply_trwr(
     different relation class, so the replacement always flips the
     expressed temporal relation.
     """
-    doc = view.doc
     by_class: dict[Relation, list[str]] = {}
     for key, relation in sorted(lexicon.entries.items()):
         by_class.setdefault(relation, []).append(" ".join(key))
-    out: list[EntityDecision] = []
-    for span in _unsampled_spans(view, doc.spans_of_kind(SpanKind.TEMPORAL_SIGNAL), decisions):
-        alternatives = [
-            phrase
-            for relation in sorted(by_class, key=lambda r: r.value)
-            if relation is not span.relation
-            for phrase in by_class[relation]
-        ]
-        if alternatives and rng.random() < p_replace:
-            replacement = alternatives[int(rng.integers(len(alternatives)))]
-            out.append(EntityDecision(span.token_start, span.surface, 1, replacement, MaskSource.TEMPORAL_SIGNAL))
-        else:
-            out.append(EntityDecision(span.token_start, span.surface, 0, None, MaskSource.TEMPORAL_SIGNAL))
-    return out
+    relations = sorted(by_class, key=lambda r: r.value)
+    return _replace_spans(
+        view, decisions, SpanKind.TEMPORAL_SIGNAL, MaskSource.TEMPORAL_SIGNAL,
+        lambda span: [phrase for r in relations if r is not span.relation for phrase in by_class[r]],
+        rng, p_replace,
+    )
 
 
 def apply_mask_policy(
@@ -328,18 +330,6 @@ def apply_mask_policy(
         elif action is MaskAction.RANDOM_REPLACE:
             ids[position] = n_specials + int(rng.integers(vocab.size - n_specials))
     return ids, targets
-
-
-def _span_token_cover(decision_spans: list[EntityDecision], doc: AnnotatedDocument) -> dict[int, EntityDecision]:
-    """Surface-token index -> replacement decision covering it (replaced only)."""
-    by_start = {d.token_index: d for d in decision_spans}
-    cover: dict[int, EntityDecision] = {}
-    for span in doc.spans:
-        d = by_start.get(span.token_start)
-        if d is not None and d.surface == span.surface and d.label == 1:
-            for k in range(span.token_start, span.token_end):
-                cover[k] = d
-    return cover
 
 
 def build_training_example(
@@ -381,35 +371,35 @@ def build_training_example(
             raise ConfigError("entity replacement requires an entity calendar")
         tser_targets = apply_tser(view, decisions, calendar, rng, rates.tser_replace)
 
-    replaced_cover = _span_token_cover(trwr_targets + tser_targets, doc)
+    targets = trwr_targets + tser_targets
+    # a target's span: the first with the target's (token start, surface)
+    span_at = {(s.token_start, s.surface): s for s in reversed(doc.spans)}
+    replaced = {d.token_index: d for d in targets if d.label}
 
-    # rebuild the subword sequence with replacements and re-map positions
+    # rebuild the subword sequence with replacements; ``at`` is where each
+    # surface token, and the end, lands in it
     new_ids: list[int] = []
     old_to_new: dict[int, int] = {}
-    new_span_range: dict[int, tuple[int, int]] = {}  # surface start token -> subword range
-    emitted: set[int] = set()
+    at = [0] * (len(view.pieces) + 1)
+    pos = resume = 0
     for i, piece in enumerate(view.pieces):
-        d = replaced_cover.get(i)
-        if d is not None:
-            if d.token_index in emitted:
-                continue
-            emitted.add(d.token_index)
-            start = len(new_ids)
-            for tok in tokenize_raw(d.replacement_surface):
-                new_ids.extend(vocab.encode_word(tok.text))
-            new_span_range[d.token_index] = (start, len(new_ids))
-        else:
+        if i < resume:
+            continue
+        at[i] = pos
+        d = replaced.get(i)
+        if d is None:
             base = view.starts[i]
-            for k, sub_id in enumerate(piece):
-                old_to_new[base + k] = len(new_ids)
-                new_ids.append(sub_id)
-
-    # not-replaced spans keep their original subwords; record their ranges
-    for d in trwr_targets + tser_targets:
-        if d.label == 0:
-            matching = [s for s in doc.spans if s.token_start == d.token_index and s.surface == d.surface]
-            a, b = view.span_range(matching[0])
-            new_span_range[d.token_index] = (old_to_new[a], old_to_new[b - 1] + 1)
+            for _ in piece:
+                old_to_new[base] = pos
+                base += 1
+                pos += 1
+            new_ids += piece
+        else:
+            for tok in tokenize_raw(d.replacement_surface):
+                new_ids += vocab.encode_word(tok.text)
+            pos = len(new_ids)
+            resume = span_at[(i, d.surface)].token_end
+    at[-1] = pos
 
     offset = 1  # [CLS]
     input_ids = [vocab.cls_id] + new_ids + [vocab.sep_id]
@@ -426,12 +416,11 @@ def build_training_example(
             raise ConfigError("document dating requires a corpus span")
         dd_index = timestamp_to_label(doc.timestamp, Granularity.MONTH, span).index
 
-    replacement_targets: list[EntityDecision] = []
-    for d in sorted(trwr_targets + tser_targets, key=lambda d: d.token_index):
-        a, b = new_span_range[d.token_index]
-        replacement_targets.append(
-            EntityDecision(d.token_index, d.surface, d.label, d.replacement_surface, d.source, a + offset, b + offset)
-        )
+    replacement_targets = [
+        EntityDecision(d.token_index, d.surface, d.label, d.replacement_surface, d.source,
+                       at[d.token_index] + offset, at[span_at[(d.token_index, d.surface)].token_end] + offset)
+        for d in sorted(targets, key=lambda d: d.token_index)
+    ]
 
     if len(input_ids) > max_len:
         input_ids = input_ids[:max_len]

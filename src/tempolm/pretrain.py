@@ -38,7 +38,7 @@ from .encoder import (
 )
 from .errors import ConfigError, DivergenceError
 from .lexicon import SignalLexicon
-from .objectives import Objective, SamplingRates, TrainingExample, build_training_example
+from .objectives import Objective, SamplingRates, TrainingExample, build_training_example, example_rng
 from .optim import AdamW
 from .packworker import PackWorker
 from .timescale import CorpusSpan
@@ -136,8 +136,7 @@ def _example_stream(
 ):
     epoch = 0
     while True:
-        order_rng = np.random.Generator(np.random.PCG64(hash_order(settings.seed, epoch)))
-        for i in order_rng.permutation(len(docs)):
+        for i in example_rng("order", settings.seed, epoch).permutation(len(docs)):
             yield build_training_example(
                 docs[int(i)], settings.objectives, vocab,
                 span=span, calendar=calendar, lexicon=lexicon,
@@ -145,13 +144,6 @@ def _example_stream(
                 max_len=max_len,
             )
         epoch += 1
-
-
-def hash_order(seed: int, epoch: int) -> int:
-    import hashlib
-
-    digest = hashlib.sha256(f"order|{seed}|{epoch}".encode()).digest()
-    return int.from_bytes(digest[:8], "little")
 
 
 def pretrain(

@@ -23,7 +23,7 @@ from .encoder import collect_grads  # noqa: F401  # perfbench/layers.py traces t
 from .errors import MissingOccurrencesError, ParseError
 from .finetune import instance_ids
 from .metrics import metric_pearson, metric_spearman
-from .objectives import MaskAction, apply_mask_policy, example_rng
+from .objectives import apply_mask_policy, example_rng, mask_action
 from .optim import AdamW
 from .pretrain import train_step
 from .similarity import cosine_similarity
@@ -152,9 +152,11 @@ def adapt_mlm(
     lr: float = 1e-6,
     epochs: int = 1,
     seed: int = 0,
-    mask_rate: float = 0.15,
 ) -> Params:
-    """Continual plain-masking adaptation on a period corpus (in place), one step per sentence."""
+    """Continual plain-masking adaptation on a period corpus (in place), one step per sentence.
+
+    Each sentence masks 15% of its content positions (at least one) under the 80/10/10 draw.
+    """
     optimizer = AdamW(params, lr=lr, weight_decay=0.0)
     for epoch in range(epochs):
         for si, sentence in enumerate(sorted(sentences)):
@@ -163,13 +165,9 @@ def adapt_mlm(
             content = list(range(1, len(ids) - 1))
             if not content:
                 continue
-            k = max(1, int(round(mask_rate * len(content))))
+            k = max(1, int(round(0.15 * len(content))))
             picked = sorted(rng.choice(len(content), size=min(k, len(content)), replace=False).tolist())
-            actions = {}
-            for idx in picked:
-                u = rng.random()
-                action = MaskAction.MASK if u < 0.8 else (MaskAction.RANDOM_REPLACE if u < 0.9 else MaskAction.KEEP)
-                actions[content[idx]] = action
+            actions = {content[idx]: mask_action(rng) for idx in picked}
             corrupted, targets = apply_mask_policy(ids, actions, vocab, rng)
             train_step(params, optimizer, optimizer.t, [partial(_mlm_loss, corrupted, targets, config)])
     return params

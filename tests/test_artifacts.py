@@ -1,4 +1,4 @@
-"""The single write path for artifacts: whole-or-nothing writes, one JSONL rule; and the one process model."""
+"""The single write path for artifacts: whole-or-nothing writes, one JSONL rule; the one process model; and the one keyed stream."""
 
 import ast
 import math
@@ -157,3 +157,65 @@ def test_only_packworker_and_map_ordered_start_processes():
         offenders += [f"{path.name}:{where}" for where in _process_starts(path.read_text(encoding="utf-8"), allowed)]
     assert offenders == []
     assert _process_starts((SRC / "packworker.py").read_text(encoding="utf-8")) != []
+
+
+# NumPy generator constructors, and ``int.from_bytes``, the step that turns a digest into a seed
+_SEEDING = {"Generator", "PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64", "SeedSequence", "RandomState",
+            "default_rng", "from_bytes"}
+
+
+def _call_name(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+
+
+def _own_calls(node: ast.AST):
+    """Calls in ``node``, leaving out those in functions nested in it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(child, ast.Call):
+            yield child
+        yield from _own_calls(child)
+
+
+def _hash_seeded_streams(source: str, allowed: str | None = None) -> list[str]:
+    """``function:line`` of every ``sha256`` call in a function that also turns bytes into a seed or
+    builds a NumPy generator, outside the function named ``allowed``."""
+    tree = ast.parse(source)
+    scopes = [(tree, "<module>")] + [
+        (node, node.name) for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    found: list[str] = []
+    for scope, function in scopes:
+        calls = [(_call_name(call), call.lineno) for call in _own_calls(scope)]
+        if function != allowed and any(name in _SEEDING for name, _ in calls):
+            found += [f"{function}:{line}" for name, line in calls if name == "sha256"]
+    return found
+
+
+@pytest.mark.parametrize("source, seeded", [
+    ("def f(k):\n    d = hashlib.sha256(k).digest()\n"
+     "    return np.random.Generator(np.random.PCG64(int.from_bytes(d[:8], 'little')))\n", ["f:2"]),
+    ("def order_seed(s):\n    d = hashlib.sha256(s).digest()\n    return int.from_bytes(d[:8], 'little')\n",
+     ["order_seed:2"]),
+    ("from hashlib import sha256\nrng = np.random.default_rng(int.from_bytes(sha256(b'k').digest(), 'big'))\n",
+     ["<module>:2"]),
+    ("def f(k):\n    def g():\n        return np.random.PCG64(0)\n    return hashlib.sha256(k).digest()\n", []),
+    ("def checksum(b):\n    return hashlib.sha256(b).digest()\n", []),
+    ("def g(seed):\n    return np.random.Generator(np.random.PCG64(seed))\n", []),
+    ("def example_rng(*key):\n    d = hashlib.sha256(key).digest()\n    return np.random.PCG64(int.from_bytes(d, 'little'))\n",
+     []),
+])
+def test_stream_guard_detects_hash_seeded_generators(source, seeded):
+    assert _hash_seeded_streams(source, allowed="example_rng") == seeded
+
+
+def test_only_example_rng_seeds_a_generator_from_a_hash():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        allowed = "example_rng" if path.name == "objectives.py" else None
+        offenders += [f"{path.name}:{where}" for where in _hash_seeded_streams(path.read_text(encoding="utf-8"), allowed)]
+    assert offenders == []
+    keyed = _hash_seeded_streams((SRC / "objectives.py").read_text(encoding="utf-8"))
+    assert [where.split(":")[0] for where in keyed] == ["example_rng"]

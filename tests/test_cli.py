@@ -475,6 +475,36 @@ def test_token_of_wrong_type_is_line_numbered_error(tmp_path, capsys, stage, tok
     assert sorted(tmp_path.iterdir()) == [bad]
 
 
+_RAW_LINE = '{"id": "a", "timestamp": "1999-01-02", "text": "ok in 1999."}\n'
+_NORMALIZED_SPAN = {"kind": "expression", "start": 0, "end": 1, "surface": "a", "normalized": "19x9"}
+
+
+@pytest.mark.parametrize("stage, first, line, field", [
+    ("annotate", _RAW_LINE, '{"id": "b", "timestamp": 1999, "text": "x"}', "timestamp"),
+    ("annotate", _RAW_LINE, '{"id": "b", "timestamp": "1999-02-30", "text": "x"}', "timestamp"),
+    ("refine", json.dumps(_RECORD) + "\n", json.dumps({**_RECORD, "timestamp": 1999}), "timestamp"),
+    ("refine", json.dumps(_RECORD) + "\n", json.dumps({**_RECORD, "timestamp": "1999-13-45"}), "timestamp"),
+    ("refine", json.dumps(_RECORD) + "\n", json.dumps({**_RECORD, "spans": [_NORMALIZED_SPAN]}), "normalized"),
+], ids=["annotate-int", "annotate-feb-30", "refine-int", "refine-month-13", "refine-normalized"])
+def test_bad_time_point_is_line_numbered_error(tmp_path, capsys, stage, first, line, field):
+    bad = tmp_path / "in.jsonl"
+    bad.write_text(first + line + "\n", encoding="utf-8")
+    code = run(stage, "--in", bad, "--out", tmp_path / "out.jsonl")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and f"'{field}'" in err and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == [bad]
+
+
+@pytest.mark.parametrize("timestamp", [1999, "1999-02-30", None])
+def test_annotate_skip_bad_skips_bad_timestamp(tmp_path, timestamp):
+    bad = tmp_path / "in.jsonl"
+    bad.write_text(_RAW_LINE + json.dumps({"id": "b", "timestamp": timestamp, "text": "x"}) + "\n", encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    assert run("annotate", "--in", bad, "--out", out, "--skip-bad") == 0
+    assert [json.loads(line)["id"] for line in out.read_text().splitlines()] == ["a"]
+
+
 def test_python_dash_m_runs_the_cli():
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}

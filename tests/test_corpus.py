@@ -192,9 +192,9 @@ def _sha256(lines):
     return hashlib.sha256("".join(line + "\n" for line in lines).encode("utf-8")).hexdigest()
 
 
-def test_ingest_pipeline_bytes_are_pinned():
-    """Annotate, refine, record round trip, vocabulary and one epoch of examples on a
-    seeded corpus write pinned bytes: a speed-up of any stage must leave them as they are."""
+@pytest.fixture(scope="module")
+def pinned_corpus():
+    """A seeded 150-doc corpus annotated, refined and read back from its records, with its calendar and vocabularies."""
     lexicon = SignalLexicon.default()
     records = generate_corpus(150, seed=11, sentences_per_doc=4, undated_sentence_rate=0.2)
     docs = [annotate_document(r["id"], r["timestamp"], r["text"], lexicon=lexicon) for r in records]
@@ -203,11 +203,38 @@ def test_ingest_pipeline_bytes_are_pinned():
     kept = [record_to_document(json.loads(line)) for line in lines]
     span, calendar = derive_corpus_span(kept), build_entity_calendar(kept)
     below, above = (build_vocab([d.text for d in kept], target_size=size) for size in (200, 512))
+    return dict(lexicon=lexicon, lines=lines, kept=kept, span=span, calendar=calendar, below=below, above=above)
+
+
+def _example_lines(corpus, objective_set, rates=objectives.SamplingRates(), max_len=64):
+    return [json.dumps(objectives.example_to_record(objectives.build_training_example(
+        d, objective_set, corpus["above"], span=corpus["span"], calendar=corpus["calendar"], lexicon=corpus["lexicon"],
+        rates=rates, seed=5, max_len=max_len)), sort_keys=True) for d in corpus["kept"]]
+
+
+def test_ingest_pipeline_bytes_are_pinned(pinned_corpus):
+    """Annotate, refine, record round trip, vocabulary and one epoch of examples on a
+    seeded corpus write pinned bytes: a speed-up of any stage must leave them as they are."""
+    lines, below, above = pinned_corpus["lines"], pinned_corpus["below"], pinned_corpus["above"]
     assert below.named_size == 200 and above.named_size < 512  # 512 lies past the last possible merge
     joint = {objectives.Objective.ETAMLM, objectives.Objective.DD, objectives.Objective.TSER}
-    examples = [json.dumps(objectives.example_to_record(objectives.build_training_example(
-        d, joint, above, span=span, calendar=calendar, lexicon=lexicon, seed=5, max_len=64)), sort_keys=True)
-        for d in kept]
+    examples = _example_lines(pinned_corpus, joint)
     assert (len(lines), _sha256(lines)) == (150, "9123cff6ab9b13c5cdf4fbc32d10f123dd8880656d2675e243b1394eec8661a6")
     assert _sha256([below.dumps(), above.dumps()]) == "1dc5e8cb3bde418d854c5092a37d9730426dc3e59cceb492f8cffa19e00dfdd7"
     assert _sha256(examples) == "ca2f69887d4f1da00b893693f3b16d9588fef33d9adcb5bccb35a910bc4e9b36"
+
+
+_FORCED = objectives.SamplingRates(tser_replace=1.0, trwr_replace=1.0)
+
+
+@pytest.mark.parametrize("rates, max_len, kept_targets, digest", [
+    (objectives.SamplingRates(), 64, 548, "62ec7ee09abefa91412ef7bb79f118575d1aebb1ea4ed1dc2c3f3bbd3ba9cf51"),
+    (_FORCED, 64, 548, "87dc9fdc742ee82203d84008f4c0923aab06e28dd8c3d90bbf8825c30f2efae5"),
+    (_FORCED, 24, 334, "54b7e66d4b9c63fae64081c811f88ab737823fd6c7f67109ebe60019a1b53619"),  # truncation drops 214
+])
+def test_all_objective_example_bytes_are_pinned(pinned_corpus, rates, max_len, kept_targets, digest):
+    """All five objectives, so masking, signal and person replacement and the re-assembled
+    sequence around replaced spans are pinned, at default and forced replacement rates."""
+    examples = _example_lines(pinned_corpus, set(objectives.Objective), rates, max_len)
+    assert sum(len(json.loads(line)["tser"]) for line in examples) == kept_targets
+    assert _sha256(examples) == digest

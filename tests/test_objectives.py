@@ -21,6 +21,7 @@ from tempolm.objectives import (
     ceil_rate,
     example_rng,
     example_to_record,
+    mask_action,
     sample_etamlm,
     sample_tsemlm,
 )
@@ -136,6 +137,26 @@ def test_action_frequencies(doc, vocab):
     assert abs(counts[MaskAction.MASK] / total - 0.8) < 0.02
     assert abs(counts[MaskAction.RANDOM_REPLACE] / total - 0.1) < 0.02
     assert abs(counts[MaskAction.KEEP] / total - 0.1) < 0.02
+
+
+def test_keyed_streams_first_draws_are_pinned():
+    """Each stream keyed through ``example_rng`` draws pinned numbers: pre-training's
+    document order, the fine-tuning head and order, and period adaptation."""
+    assert example_rng("order", 3, 1).permutation(10).tolist() == [9, 7, 3, 0, 1, 5, 8, 6, 4, 2]
+    assert example_rng("finetune", 3, "head").normal(0.0, 0.02, size=3).tolist() == [
+        -0.00036760501893039345, -0.03140408761462228, 0.031080509042192127]
+    assert example_rng("finetune", 3, "order1").permutation(10).tolist() == [7, 9, 4, 6, 2, 5, 8, 3, 1, 0]
+    assert example_rng(3, "adapt0", 1).random(3).tolist() == [0.4740233627158338, 0.673317165116759, 0.78182729019116]
+    assert example_rng("order", 3, 1).random() == example_rng("order|3|1").random()  # the key is |-joined
+
+
+def test_mask_action_is_one_uniform_draw():
+    """80/10/10 on one ``rng.random()`` per position: the stream stays in step with the draws."""
+    rng, twin = example_rng(4, "d", 0), example_rng(4, "d", 0)
+    for _ in range(200):
+        u = twin.random()
+        expected = MaskAction.MASK if u < 0.8 else MaskAction.RANDOM_REPLACE if u < 0.9 else MaskAction.KEEP
+        assert mask_action(rng) is expected
 
 
 def test_mask_policy_execution(vocab):
