@@ -8,6 +8,7 @@ a time-estimation dataset.
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from collections import Counter
@@ -27,37 +28,37 @@ class BM25:
             raise ConfigError("BM25 needs a non-empty document collection")
         self.k1 = k1
         self.b = b
-        self.term_freqs = [Counter(_terms(d)) for d in docs]
-        self.doc_lens = [sum(tf.values()) for tf in self.term_freqs]
+        term_freqs = [Counter(_terms(d)) for d in docs]
+        doc_lens = [sum(tf.values()) for tf in term_freqs]
         self.n_docs = len(docs)
-        self.avg_len = sum(self.doc_lens) / self.n_docs
-        df: Counter = Counter()
-        for tf in self.term_freqs:
-            df.update(tf.keys())
+        avg_len = sum(doc_lens) / self.n_docs
+        self.norms = [k1 * (1.0 - b + b * dl / avg_len) if avg_len else k1 for dl in doc_lens]
+        # term -> [(doc index, term frequency)], in document order
+        self.postings: dict[str, list[tuple[int, int]]] = {}
+        for i, tf in enumerate(term_freqs):
+            for t, f in tf.items():
+                self.postings.setdefault(t, []).append((i, f))
         self.idf = {
-            t: math.log((self.n_docs - n + 0.5) / (n + 0.5) + 1.0)
-            for t, n in df.items()
+            t: math.log((self.n_docs - len(p) + 0.5) / (len(p) + 0.5) + 1.0)
+            for t, p in self.postings.items()
         }
 
     def scores(self, query: str) -> list[float]:
-        q = _terms(query)
-        out = []
-        for tf, dl in zip(self.term_freqs, self.doc_lens):
-            norm = self.k1 * (1.0 - self.b + self.b * dl / self.avg_len) if self.avg_len else self.k1
-            s = 0.0
-            for term in q:
-                f = tf.get(term)
-                if not f:
-                    continue
-                s += self.idf.get(term, 0.0) * f * (self.k1 + 1.0) / (f + norm)
-            out.append(s)
+        """Each document's sum over the query terms it contains, added in query order."""
+        out = [0.0] * self.n_docs
+        k1_plus = self.k1 + 1.0
+        norms = self.norms
+        for term in _terms(query):
+            idf = self.idf.get(term)
+            for i, f in self.postings.get(term, ()):
+                out[i] += idf * f * k1_plus / (f + norms[i])
         return out
 
     def top_k(self, query: str, k: int = 1) -> list[tuple[int, float]]:
         """(doc index, score) pairs, best first; ties go to the lower index."""
         scored = self.scores(query)
-        order = sorted(range(self.n_docs), key=lambda i: (-scored[i], i))
-        return [(i, scored[i]) for i in order[:k]]
+        order = heapq.nsmallest(k, range(self.n_docs), key=lambda i: (-scored[i], i))
+        return [(i, scored[i]) for i in order]
 
 
 def attach_top_document(

@@ -88,6 +88,11 @@ def document_to_record(doc: AnnotatedDocument) -> dict:
     }
 
 
+def _check_range(start, end, n_tokens: int) -> None:
+    if type(start) is not int or type(end) is not int or not 0 <= start < end <= n_tokens:
+        raise ValueError(f"[{start!r}, {end!r}] is not a token range inside {n_tokens} tokens")
+
+
 def record_to_document(rec: dict) -> AnnotatedDocument:
     """The document an annotated record holds; a record of the wrong shape raises ``ParseError``."""
     if not isinstance(rec, dict):
@@ -105,19 +110,25 @@ def record_to_document(rec: dict) -> AnnotatedDocument:
         if texts - {str} or offsets - {int}:
             raise TypeError("token text must be a string and its offsets integers")
         part = "spans"
+        n_tokens = len(tokens)
         spans = []
         for s in rec["spans"]:
+            start, end = s["start"], s["end"]
+            _check_range(start, end, n_tokens)
             normalized = TimePoint.parse(s["normalized"]) if s.get("normalized") else None
             spans.append(Span(
                 kind=SpanKind(s["kind"]),
-                token_start=s["start"],
-                token_end=s["end"],
+                token_start=start,
+                token_end=end,
                 surface=s["surface"],
                 relation=Relation(s["relation"]) if s.get("relation") else None,
                 normalized=normalized,
             ))
         part = "sentences"
-        sentence_bounds = [tuple(b) for b in rec["sentences"]]
+        sentence_bounds = []
+        for start, end in rec["sentences"]:
+            _check_range(start, end, n_tokens)
+            sentence_bounds.append((start, end))
     except TimestampParseError as exc:  # the record's timestamp or a span's normalization
         what = "timestamp" if part == "timestamp" else "normalized"
         raise ParseError(f"bad field {what!r} in annotated record: {exc}") from None

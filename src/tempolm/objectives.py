@@ -351,6 +351,8 @@ def build_training_example(
     sequence is [CLS] + corrupted subwords + [SEP], truncated to
     ``max_len``; targets beyond the truncation point are dropped.
     """
+    if max_len < 2:
+        raise ConfigError("max_len must be >= 2")
     objective_set = frozenset(Objective(o) for o in objectives)
     rng = example_rng(seed, doc.id, epoch)
     view = SubwordView.build(doc, vocab)

@@ -1,7 +1,11 @@
-"""The single write path for artifacts: whole-or-nothing writes, one JSONL rule; the one process model; and the one keyed stream."""
+"""The single write path for artifacts: whole-or-nothing writes, one JSONL rule; the one process model; the one keyed stream;
+and scipy, loaded only by the t-test."""
 
 import ast
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -157,6 +161,58 @@ def test_only_packworker_and_map_ordered_start_processes():
         offenders += [f"{path.name}:{where}" for where in _process_starts(path.read_text(encoding="utf-8"), allowed)]
     assert offenders == []
     assert _process_starts((SRC / "packworker.py").read_text(encoding="utf-8")) != []
+
+
+def _scipy_imports(source: str) -> list[str]:
+    """``function:line`` of every ``scipy`` import."""
+    found: list[str] = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                 else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+        if any(name.split(".")[0] == "scipy" for name in names):
+            found.append(f"{function}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+@pytest.mark.parametrize("source, imports", [
+    ("import numpy\nfrom .scipy_like import x\n", []),
+    ("import scipy\n", ["<module>:1"]),
+    ("from scipy.special import stdtr\n", ["<module>:1"]),
+    ("import os, scipy.stats as st\n", ["<module>:1"]),
+    ("def f():\n    from scipy import special\n", ["f:2"]),
+])
+def test_scipy_guard_detects_imports(source, imports):
+    assert _scipy_imports(source) == imports
+
+
+def test_scipy_is_imported_only_inside_the_t_test():
+    root = SRC.parent
+    found = [f"{path.relative_to(root)}:{where.split(':')[0]}"
+             for path in sorted(root.rglob("*.py")) for where in _scipy_imports(path.read_text(encoding="utf-8"))]
+    assert found == ["tempolm/metrics.py:two_tailed_ttest"]
+
+
+def test_loading_every_tempolm_module_leaves_scipy_unimported():
+    script = (
+        "import importlib, pkgutil, sys, tempolm\n"
+        "names = [m.name for m in pkgutil.walk_packages(tempolm.__path__, 'tempolm.') if m.name != 'tempolm.__main__']\n"
+        "for name in names:\n"
+        "    importlib.import_module(name)\n"
+        "print(len(names), 'scipy' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    count, scipy_loaded = done.stdout.split()
+    assert int(count) == len(list(SRC.glob("*.py"))) - 2  # all but __init__ and __main__
+    assert scipy_loaded == "False"
 
 
 # NumPy generator constructors, and ``int.from_bytes``, the step that turns a digest into a seed

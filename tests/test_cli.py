@@ -475,6 +475,42 @@ def test_token_of_wrong_type_is_line_numbered_error(tmp_path, capsys, stage, tok
     assert sorted(tmp_path.iterdir()) == [bad]
 
 
+_TWO_TOKENS = {**_RECORD, "text": "Bob Dylan", "tokens": [["Bob", 0, 3], ["Dylan", 4, 9]], "sentences": [[0, 2]]}
+_PERSON = {"kind": "person", "start": 0, "end": 2, "surface": "Bob Dylan"}
+
+
+@pytest.mark.parametrize("stage, objectives", [("refine", None), ("examples", "tser"), ("examples", "tsemlm")])
+@pytest.mark.parametrize("field, bad", [
+    ("spans", [{**_PERSON, "start": 1, "end": 5}]),
+    ("spans", [{**_PERSON, "start": -1}]),
+    ("spans", [{**_PERSON, "end": 2.0}]),
+    ("spans", [{**_PERSON, "start": False, "end": True}]),
+    ("sentences", [[0, 7]]),
+    ("sentences", [[1, 1]]),
+    ("sentences", [[0, 1, 2]]),
+], ids=["span-past-end", "span-negative", "span-float", "span-bool",
+        "sentence-past-end", "sentence-empty", "sentence-three-bounds"])
+def test_range_outside_the_tokens_is_line_numbered_error(tmp_path, capsys, stage, objectives, field, bad):
+    bad_path = tmp_path / "ann.jsonl"
+    good = {**_TWO_TOKENS, "spans": [_PERSON]}
+    bad_path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: bad}) + "\n", encoding="utf-8")
+    extra = ("--objectives", objectives) if objectives else ()
+    code = run(stage, "--in", bad_path, "--out", tmp_path / "out.jsonl", *extra)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and f"'{field}'" in err and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == [bad_path]
+
+
+@pytest.mark.parametrize("max_len", [-5, 0, 1])
+def test_examples_max_len_below_two_is_config_error(workdir, tmp_path, capsys, max_len):
+    out = tmp_path / "ex.jsonl"
+    code = run("examples", "--in", workdir / "ref.jsonl", "--out", out, "--objectives", "etamlm", "--max-len", max_len)
+    assert code == 2
+    assert "max_len must be >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _RAW_LINE = '{"id": "a", "timestamp": "1999-01-02", "text": "ok in 1999."}\n'
 _NORMALIZED_SPAN = {"kind": "expression", "start": 0, "end": 1, "surface": "a", "normalized": "19x9"}
 

@@ -1,3 +1,7 @@
+import math
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -18,6 +22,7 @@ from tempolm.similarity import (
     year_vocabulary,
     zero_shot_similarity,
 )
+from tempolm.synth import generate_corpus, generate_event_instances
 from tempolm.timescale import CorpusSpan, Granularity, TimePoint
 from tempolm.vocab import build_vocab
 
@@ -237,6 +242,44 @@ def test_bm25_ranks_term_overlap_first():
     top = ranker.top_k("treaty signed leaders", k=3)
     assert top[0][0] == 0
     assert top[0][1] > top[1][1]
+
+
+def _plain_scan_scores(docs, query, k1=1.2, b=0.75):
+    """BM25 written as one pass over every document and every query term."""
+    tfs = [Counter(re.findall(r"\w+", d.lower())) for d in docs]
+    lens = [sum(tf.values()) for tf in tfs]
+    avg = sum(lens) / len(docs)
+    df = Counter(t for tf in tfs for t in tf)
+    idf = {t: math.log((len(docs) - n + 0.5) / (n + 0.5) + 1.0) for t, n in df.items()}
+    out = []
+    for tf, dl in zip(tfs, lens):
+        norm = k1 * (1.0 - b + b * dl / avg) if avg else k1
+        s = 0.0
+        for term in re.findall(r"\w+", query.lower()):
+            f = tf.get(term)
+            if f:
+                s += idf.get(term, 0.0) * f * (k1 + 1.0) / (f + norm)
+        out.append(s)
+    return out
+
+
+def test_bm25_scores_equal_the_plain_scan_bit_for_bit():
+    records = generate_corpus(80, start_year=1990, end_year=2005, seed=5)
+    docs = [r["text"] for r in records] + ["", "1999 1999 1999"]
+    queries = [e["text"] for e in generate_event_instances(20, start_year=1990, end_year=2005, seed=6)]
+    queries += ["the the THE 1999 1999", "zzyzx unknownterm", "", "1999 zzyzx in the 1999"]
+    ranker = BM25(docs)
+    for query in queries:
+        expected = _plain_scan_scores(docs, query)
+        assert ranker.scores(query) == expected
+        best = sorted(range(len(docs)), key=lambda i: (-expected[i], i))[:3]
+        assert ranker.top_k(query, 3) == [(i, expected[i]) for i in best]
+
+
+def test_bm25_tie_goes_to_the_lower_index():
+    ranker = BM25(["alpha beta", "gamma delta", "alpha beta"])
+    assert ranker.top_k("alpha", 1)[0][0] == 0
+    assert ranker.top_k("unknown", 2) == [(0, 0.0), (1, 0.0)]
 
 
 def test_bm25_attach_top_document():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tempolm.annotate import SpanKind, annotate_document
 from tempolm.corpus import EntityCalendar, build_entity_calendar
@@ -322,6 +323,27 @@ def test_build_example_truncation(doc, vocab, calendar):
     assert len(ex.input_ids) == 16
     assert all(p < 16 for p in ex.mlm_targets)
     assert all(d.sub_end <= 16 for d in ex.replacement_targets)
+
+
+_DOC = annotate_document("doc-1", "2007-05-04", DOC_TEXT)
+_CALENDAR = EntityCalendar({"2007-05": {"Tupac Shakur", "Carol King", "Bob Dylan", "Antonin Scalia", "Dan Rather"}})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    max_len=st.integers(2, 64),
+    objective_set=st.sets(st.sampled_from(list(Objective))),
+    replace=st.sampled_from([0.5, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_build_example_targets_lie_inside_the_sequence(vocab, max_len, objective_set, replace, seed):
+    rates = SamplingRates(tser_replace=replace, trwr_replace=replace)
+    ex = build_training_example(_DOC, objective_set, vocab, span=SPAN, calendar=_CALENDAR,
+                                rates=rates, seed=seed, max_len=max_len)
+    n = len(ex.input_ids)
+    assert n <= max_len
+    assert all(p < n for p in ex.mlm_targets)
+    assert all(1 <= d.sub_start < d.sub_end <= n for d in ex.replacement_targets)
 
 
 def test_replaced_rate_statistics(vocab):
