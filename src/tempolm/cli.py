@@ -3,13 +3,16 @@
 Stages: annotate, refine, calendar, examples, pretrain, finetune, eval,
 similarity, timescope. Each stage consumes and produces the documented
 file formats and writes a ``<output>.manifest.json``. All randomness flows
-from the single run seed (flag > TEMPO_SEED env > config file > default).
+from the single run seed. Every stage reads ``--config``; each value in
+``CONFIG_OPTIONS`` comes from its flag, else TEMPO_SEED (the seed only),
+else the config file, else the table's default, and argparse types it.
 Exit code 0 on success, 2 on validation failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -34,7 +37,7 @@ from .encoder import EncoderConfig
 from .errors import ConfigError, DependencyMissingError, TempoError
 from .finetune import DEFAULT_GRID, FinetunedModel, finetune_classifier, model_text
 from .lexicon import SignalLexicon
-from .manifest import ManifestWriter, jsonl_line, parse_config_file, read_json, write_atomic
+from .manifest import ManifestWriter, jsonl_line, parse_config_file, read_json, read_lines, write_atomic
 from .metrics import MetricReport, metric_acc, metric_mae, two_tailed_ttest
 from .objectives import Objective, SamplingRates, build_training_example, example_to_record
 from .pretrain import PretrainSettings, pretrain
@@ -45,6 +48,21 @@ from .vocab import Vocabulary, build_vocab
 
 _WORKER_STATE: dict = {}
 
+# config key -> (type, default) of the option it sets; a stage takes the keys it has options for
+CONFIG_OPTIONS: dict[str, tuple[type, int | float]] = {
+    "seed": (int, 0),
+    "vocab_size": (int, 512),
+    "max_len": (int, 128),
+    "layers": (int, 2),
+    "hidden_dim": (int, 96),
+    "heads": (int, 4),
+    "ffn_dim": (int, 192),
+    "steps": (int, 50),
+    "batch_size": (int, 8),
+    "grad_accum": (int, 8),
+    "lr": (float, 3e-5),
+}
+
 
 def _require(path: str | None, stage: str) -> Path:
     if path is None:
@@ -53,32 +71,6 @@ def _require(path: str | None, stage: str) -> Path:
     if not p.exists():
         raise DependencyMissingError(stage, str(p))
     return p
-
-
-def _effective_seed(args, config: dict) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("TEMPO_SEED")
-    if env is not None:
-        return int(env)
-    if "seed" in config:
-        return int(config["seed"])
-    return 0
-
-
-def _config_get(args, config: dict, name: str, cast, default):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in config:
-        return cast(config[name])
-    return default
-
-
-def _load_config(args) -> dict:
-    if getattr(args, "config", None):
-        return parse_config_file(_require(args.config, "config"))
-    return {}
 
 
 def _parse_objectives(text: str) -> frozenset[Objective]:
@@ -97,7 +89,11 @@ def _annotate_worker(item):
         sidecar = _WORKER_STATE["sidecar"]
         if sidecar is not None:
             persons = [tuple(p) for p in sidecar.get(rec["id"], persons or [])]
-    doc = annotate_document(rec["id"], rec["timestamp"], rec["text"], persons=persons, lexicon=lexicon)
+    try:
+        doc = annotate_document(rec["id"], rec["timestamp"], rec["text"], persons=persons, lexicon=lexicon)
+    except TempoError as exc:
+        exc.args = (f"line {lineno}: {exc}",)
+        raise
     return jsonl_line(document_to_record(doc))
 
 
@@ -118,7 +114,6 @@ def _map_ordered(worker, items, jobs: int, state: dict):
 
 
 def cmd_annotate(args) -> int:
-    config = _load_config(args)
     in_path = _require(args.in_path, "annotate")
     lexicon = SignalLexicon.load(_require(args.lexicon, "annotate")) if args.lexicon else SignalLexicon.default()
     sidecar = None
@@ -127,7 +122,7 @@ def cmd_annotate(args) -> int:
         sidecar = {rec["doc_id"]: rec["persons"] for rec in sidecar_records}
     manifest = ManifestWriter("annotate", {"persons": args.persons, "jobs": args.jobs}, [in_path])
     state = {"lexicon": lexicon, "mode": args.persons, "sidecar": sidecar}
-    records = enumerate(read_raw_records(in_path, skip_bad=args.skip_bad), start=1)
+    records = read_raw_records(in_path, skip_bad=args.skip_bad)
     count = write_atomic(args.out_path, _map_ordered(_annotate_worker, records, args.jobs, state))
     manifest.write(args.out_path)
     print(f"annotated {count} records -> {args.out_path}")
@@ -175,37 +170,34 @@ def _examples_worker(item):
     return jsonl_line(example_to_record(ex))
 
 
-def _corpus_setup(args, config, in_path, need_calendar: bool, stage: str):
+def _corpus_setup(args, in_path, need_calendar: bool):
     docs = list(read_documents(in_path))
     if not docs:
         raise ConfigError("input corpus is empty")
     span = CorpusSpan.parse(args.span) if args.span else derive_corpus_span(docs)
     calendar = None
     if args.calendar:
-        calendar = EntityCalendar.load(_require(args.calendar, stage))
+        calendar = EntityCalendar.load(_require(args.calendar, args.command))
     elif need_calendar:
         calendar = build_entity_calendar(docs)
     if args.vocab:
-        vocab = Vocabulary.from_json(read_json(_require(args.vocab, stage)))
+        vocab = Vocabulary.from_json(read_json(_require(args.vocab, args.command)))
     else:
-        vocab_size = _config_get(args, config, "vocab_size", int, 512)
-        vocab = build_vocab([d.text for d in docs], target_size=vocab_size)
+        vocab = build_vocab([d.text for d in docs], target_size=args.vocab_size)
     return docs, span, calendar, vocab
 
 
 def cmd_examples(args) -> int:
-    config = _load_config(args)
     in_path = _require(args.in_path, "examples")
     objectives = _parse_objectives(args.objectives)
-    docs, span, calendar, vocab = _corpus_setup(args, config, in_path, Objective.TSER in objectives, "examples")
-    seed = _effective_seed(args, config)
+    docs, span, calendar, vocab = _corpus_setup(args, in_path, Objective.TSER in objectives)
     manifest = ManifestWriter("examples", {
-        "objectives": sorted(o.value for o in objectives), "seed": seed, "epoch": args.epoch,
+        "objectives": sorted(o.value for o in objectives), "seed": args.seed, "epoch": args.epoch,
     }, [in_path])
     state = {
         "objectives": objectives, "vocab": vocab, "span": span, "calendar": calendar,
-        "lexicon": SignalLexicon.default(), "rates": SamplingRates(), "seed": seed,
-        "epoch": args.epoch, "max_len": _config_get(args, config, "max_len", int, 128),
+        "lexicon": SignalLexicon.default(), "rates": SamplingRates(), "seed": args.seed,
+        "epoch": args.epoch, "max_len": args.max_len,
     }
     records = (document_to_record(d) for d in docs)
     count = write_atomic(args.out_path, _map_ordered(_examples_worker, records, args.jobs, state))
@@ -215,31 +207,19 @@ def cmd_examples(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    config = _load_config(args)
     in_path = _require(args.in_path, "pretrain")
     objectives = _parse_objectives(args.objectives)
-    docs, span, calendar, vocab = _corpus_setup(args, config, in_path, Objective.TSER in objectives, "pretrain")
-    seed = _effective_seed(args, config)
+    docs, span, calendar, vocab = _corpus_setup(args, in_path, Objective.TSER in objectives)
     enc_config = EncoderConfig(
-        layers=_config_get(args, config, "layers", int, 2),
-        hidden_dim=_config_get(args, config, "hidden_dim", int, 96),
-        heads=_config_get(args, config, "heads", int, 4),
-        ffn_dim=_config_get(args, config, "ffn_dim", int, 192),
-        max_len=_config_get(args, config, "max_len", int, 128),
-        vocab_size=vocab.size,
-        dd_classes=span.class_count(Granularity.MONTH),
-        seed=seed,
+        layers=args.layers, hidden_dim=args.hidden_dim, heads=args.heads, ffn_dim=args.ffn_dim,
+        max_len=args.max_len, vocab_size=vocab.size, dd_classes=span.class_count(Granularity.MONTH), seed=args.seed,
     )
     settings = PretrainSettings(
-        objectives=objectives,
-        seed=seed,
-        steps=_config_get(args, config, "steps", int, 50),
-        batch_size=_config_get(args, config, "batch_size", int, 8),
-        grad_accum=_config_get(args, config, "grad_accum", int, 8),
-        lr=_config_get(args, config, "lr", float, 3e-5),
+        objectives=objectives, seed=args.seed, steps=args.steps,
+        batch_size=args.batch_size, grad_accum=args.grad_accum, lr=args.lr,
     )
     manifest = ManifestWriter("pretrain", {
-        "objectives": sorted(o.value for o in objectives), "seed": seed,
+        "objectives": sorted(o.value for o in objectives), "seed": args.seed,
         "steps": settings.steps, "batch_size": settings.batch_size,
         "grad_accum": settings.grad_accum, "lr": settings.lr,
         "encoder": enc_config.to_json(),
@@ -263,10 +243,11 @@ def _parse_grid(text: str) -> tuple[tuple[int, float, int], ...]:
         part = part.strip()
         if not part:
             continue
-        fields = part.split(":")
-        if len(fields) != 3:
-            raise ConfigError(f"grid entry must be batch:lr:epochs, got {part!r}")
-        combos.append((int(fields[0]), float(fields[1]), int(fields[2])))
+        try:
+            batch_size, lr, epochs = part.split(":")
+            combos.append((int(batch_size), float(lr), int(epochs)))
+        except ValueError:
+            raise ConfigError(f"grid entry must be batch:lr:epochs, got {part!r}") from None
     if not combos:
         raise ConfigError("empty hyperparameter grid")
     return tuple(combos)
@@ -287,20 +268,18 @@ def _load_instances(path, granularity, span):
 
 
 def cmd_finetune(args) -> int:
-    config = _load_config(args)
     ckpt = checkpoint_load(_require(args.checkpoint, "finetune"))
     granularity = _granularity(args.granularity)
     span = CorpusSpan.parse(args.span) if args.span else None
     train, span = _load_instances(_require(args.train, "finetune"), granularity, span)
     val, _ = _load_instances(_require(args.val, "finetune"), granularity, span)
-    seed = _effective_seed(args, config)
     grid = _parse_grid(args.grid) if args.grid else DEFAULT_GRID
     n_classes = span.class_count(granularity)
     manifest = ManifestWriter("finetune", {
         "granularity": granularity.value, "span": span.render(),
-        "classes": n_classes, "grid": [list(g) for g in grid], "seed": seed,
+        "classes": n_classes, "grid": [list(g) for g in grid], "seed": args.seed,
     }, [args.checkpoint, args.train, args.val])
-    model = finetune_classifier(ckpt, train, val, n_classes, grid=grid, seed=seed)
+    model = finetune_classifier(ckpt, train, val, n_classes, grid=grid, seed=args.seed)
     out = EncoderCheckpoint(
         config=model.config, vocab=model.vocab, params=model.params, step=ckpt.step,
         task={
@@ -333,9 +312,26 @@ def _score_model(model: FinetunedModel, test) -> tuple[float, float]:
     return metric_acc(preds, golds), metric_mae(preds, golds)
 
 
+def _baseline_accs(args) -> list[float] | None:
+    """The ``run_accs`` of ``--baseline-report``, checked before any run."""
+    if not args.baseline_report:
+        return None
+    if args.runs < 2:
+        raise ConfigError("--baseline-report needs --runs 2 or more")
+    baseline = read_json(_require(args.baseline_report, "eval"))
+    accs = baseline.get("run_accs") if isinstance(baseline, dict) else None
+    if not (isinstance(accs, list) and len(accs) >= 2
+            and all(type(a) in (int, float) and math.isfinite(a) for a in accs)):
+        raise ConfigError(f"{args.baseline_report}: a baseline report needs 'run_accs', a list of 2 or more numbers")
+    return accs
+
+
 def cmd_eval(args) -> int:
     if args.task == "semantic-change":
         return _eval_semantic_change(args)
+    if args.runs < 1:
+        raise ConfigError(f"--runs must be >= 1, got {args.runs}")
+    baseline = _baseline_accs(args)
     granularity = None
     span = CorpusSpan.parse(args.span) if args.span else None
     run_accs: list[float] = []
@@ -349,11 +345,10 @@ def cmd_eval(args) -> int:
         train, span = _load_instances(args.train, granularity, span)
         val, _ = _load_instances(args.val, granularity, span)
         test, _ = _load_instances(args.test, granularity, span)
-        seed = _effective_seed(args, _load_config(args))
         grid = _parse_grid(args.grid) if args.grid else DEFAULT_GRID
         n_classes = span.class_count(granularity)
         for offset in range(args.runs):
-            model = finetune_classifier(base, train, val, n_classes, grid=grid, seed=seed + offset)
+            model = finetune_classifier(base, train, val, n_classes, grid=grid, seed=args.seed + offset)
             acc, mae = _score_model(model, test)
             run_accs.append(acc)
             run_maes.append(mae)
@@ -378,12 +373,8 @@ def cmd_eval(args) -> int:
             "run_maes": run_maes,
         },
     )
-    if args.baseline_report:
-        baseline = read_json(_require(args.baseline_report, "eval"))
-        other = baseline.get("run_accs", [])
-        if len(other) >= 2 and len(run_accs) >= 2:
-            _, p = two_tailed_ttest(run_accs, other)
-            report.p_value = p
+    if baseline is not None:
+        _, report.p_value = two_tailed_ttest(run_accs, baseline)
     _write_report(report, args, manifest)
     return 0
 
@@ -406,8 +397,8 @@ def _write_report(report: MetricReport, args, manifest: ManifestWriter) -> None:
 def _eval_semantic_change(args) -> int:
     ckpt = checkpoint_load(_require(args.checkpoint, "eval"))
     gold = read_gold_shifts(_require(args.gold, "eval"))
-    sentences_t1 = Path(_require(args.corpus_t1, "eval")).read_text(encoding="utf-8").splitlines()
-    sentences_t2 = Path(_require(args.corpus_t2, "eval")).read_text(encoding="utf-8").splitlines()
+    sentences_t1 = [line for _, line in read_lines(_require(args.corpus_t1, "eval"))]
+    sentences_t2 = [line for _, line in read_lines(_require(args.corpus_t2, "eval"))]
     manifest = ManifestWriter("eval", {"task": "semantic-change"},
                               [args.checkpoint, args.gold, args.corpus_t1, args.corpus_t2])
     params = ckpt.params
@@ -479,7 +470,9 @@ def cmd_timescope(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: dict[str, str] | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; ``defaults`` (config key -> value text) replace the table's defaults."""
+    defaults = defaults or {}
     parser = argparse.ArgumentParser(
         prog="tempolm",
         description="Time-aware encoder pre-training pipeline",
@@ -487,12 +480,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="key = value config file")
-        p.add_argument("--seed", type=int, default=None)
+    def stage(name, func, help, *keys):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", help="key = value file of defaults for the options that name a config key")
+        keys = dict.fromkeys(("seed", *keys))
+        for key in keys:
+            kind, default = CONFIG_OPTIONS[key]
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=kind, default=default,
+                           help="default %(default)s; config key %(dest)s")
+        p.set_defaults(func=func, **{key: value for key, value in defaults.items() if key in keys})
+        return p
 
-    p = sub.add_parser("annotate", help="annotate a raw corpus")
-    common(p)
+    p = stage("annotate", cmd_annotate, "annotate a raw corpus")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", dest="out_path", required=True)
     p.add_argument("--persons", choices=("heuristic", "external"), default="heuristic")
@@ -500,57 +499,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon", help="signal lexicon file (phrase<TAB>CLASS)")
     p.add_argument("--skip-bad", action="store_true")
     p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_annotate)
 
-    p = sub.add_parser("refine", help="drop sentences without content time")
-    common(p)
+    p = stage("refine", cmd_refine, "drop sentences without content time")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", dest="out_path", required=True)
-    p.set_defaults(func=cmd_refine)
 
-    p = sub.add_parser("calendar", help="build the monthly person-entity calendar")
-    common(p)
+    p = stage("calendar", cmd_calendar, "build the monthly person-entity calendar")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", dest="out_path", required=True)
-    p.set_defaults(func=cmd_calendar)
 
-    p = sub.add_parser("examples", help="emit training examples")
-    common(p)
+    p = stage("examples", cmd_examples, "emit training examples", "vocab_size", "max_len")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", dest="out_path", required=True)
     p.add_argument("--objectives", required=True, help="comma list: etamlm,dd,tser,tsemlm,trwr")
     p.add_argument("--calendar")
     p.add_argument("--vocab")
-    p.add_argument("--vocab-size", dest="vocab_size", type=int, default=None)
     p.add_argument("--span", help="corpus span START..END")
     p.add_argument("--epoch", type=int, default=0)
-    p.add_argument("--max-len", dest="max_len", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_examples)
 
-    p = sub.add_parser("pretrain", help="joint multi-task pre-training")
-    common(p)
+    p = stage("pretrain", cmd_pretrain, "joint multi-task pre-training", *CONFIG_OPTIONS)
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", dest="out_path", required=True)
     p.add_argument("--objectives", default="etamlm,dd,tser")
     p.add_argument("--calendar")
     p.add_argument("--vocab")
-    p.add_argument("--vocab-size", dest="vocab_size", type=int, default=None)
     p.add_argument("--span")
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--grad-accum", dest="grad_accum", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--layers", type=int, default=None)
-    p.add_argument("--hidden-dim", dest="hidden_dim", type=int, default=None)
-    p.add_argument("--heads", type=int, default=None)
-    p.add_argument("--ffn-dim", dest="ffn_dim", type=int, default=None)
-    p.add_argument("--max-len", dest="max_len", type=int, default=None)
     p.add_argument("--save-optimizer", action="store_true")
-    p.set_defaults(func=cmd_pretrain)
 
-    p = sub.add_parser("finetune", help="fine-tune a time classifier")
-    common(p)
+    p = stage("finetune", cmd_finetune, "fine-tune a time classifier")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--train", required=True)
     p.add_argument("--val", required=True)
@@ -558,10 +535,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--granularity", default="year")
     p.add_argument("--span")
     p.add_argument("--grid", help="comma list of batch:lr:epochs")
-    p.set_defaults(func=cmd_finetune)
 
-    p = sub.add_parser("eval", help="evaluate a model on a task")
-    common(p)
+    p = stage("eval", cmd_eval, "evaluate a model on a task")
     p.add_argument("--task", default="document-dating",
                    choices=("document-dating", "event-time", "semantic-change"))
     p.add_argument("--checkpoint", help="fine-tuned checkpoint (single-run mode)")
@@ -577,38 +552,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val")
     p.add_argument("--grid", help="comma list of batch:lr:epochs for --runs mode")
     p.add_argument("--baseline-report", dest="baseline_report",
-                   help="previous report with run_accs; adds a Welch t-test p-value")
+                   help="previous --runs report with run_accs; adds a Welch t-test p-value (needs --runs >= 2)")
     p.add_argument("--gold", help="semantic-change gold file word<TAB>shift")
     p.add_argument("--corpus-t1", dest="corpus_t1")
     p.add_argument("--corpus-t2", dest="corpus_t2")
     p.add_argument("--adapt-lr", dest="adapt_lr", type=float, default=1e-6)
     p.add_argument("--adapt-epochs", dest="adapt_epochs", type=int, default=0)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("similarity", help="zero-shot temporal similarity ranking")
-    common(p)
+    p = stage("similarity", cmd_similarity, "zero-shot temporal similarity ranking")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--events", required=True)
     p.add_argument("--years", default="1987:2007")
     p.add_argument("--top", type=int, default=3)
     p.add_argument("--report")
-    p.set_defaults(func=cmd_similarity)
 
-    p = sub.add_parser("timescope", help="estimate (start, end) month scopes")
-    common(p)
+    p = stage("timescope", cmd_timescope, "estimate (start, end) month scopes")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", dest="out_path", required=True)
     p.add_argument("--span")
-    p.set_defaults(func=cmd_timescope)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if args.config or "TEMPO_SEED" in os.environ:
+            # the config file, then TEMPO_SEED over its seed, become the defaults of a second parse,
+            # so argparse types each value and a flag still beats it
+            defaults = parse_config_file(_require(args.config, args.command)) if args.config else {}
+            unknown = sorted(set(defaults) - set(CONFIG_OPTIONS))
+            if unknown:
+                raise ConfigError(f"{args.config}: unknown config key {', '.join(map(repr, unknown))}; "
+                                  f"known keys: {', '.join(CONFIG_OPTIONS)}")
+            if "TEMPO_SEED" in os.environ:
+                defaults["seed"] = os.environ["TEMPO_SEED"]
+            args = build_parser(defaults).parse_args(argv)
         return args.func(args)
     except TempoError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ import numpy as np
 from .annotate import AnnotatedDocument, Span, SpanKind, Token
 from .errors import ConfigError, ParseError, TimestampParseError
 from .lexicon import Relation
-from .manifest import jsonl_line, read_json, write_atomic
+from .manifest import jsonl_line, read_json, read_jsonl, read_lines, write_atomic
 from .timescale import CorpusSpan, Granularity, TimePoint, parse_timestamp
 
 SCHEMA_VERSION = 1
@@ -27,18 +27,17 @@ SCHEMA_VERSION = 1
 T = TypeVar("T")
 
 
-def read_raw_records(path: str | Path, skip_bad: bool = False) -> Iterator[dict]:
-    """Yield validated ingestion records; raises line-numbered ParseError."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+def read_raw_records(path: str | Path, skip_bad: bool = False) -> Iterator[tuple[int, dict]]:
+    """``(line number, record)`` of each valid ingestion record; a bad record raises a line-numbered
+    ``ParseError`` unless ``skip_bad`` skips it. A line that is not UTF-8 always raises."""
+    for lineno, line in read_lines(path):
+        try:
+            rec = parse_raw_record(line, lineno)
+        except ParseError:
+            if skip_bad:
                 continue
-            try:
-                yield parse_raw_record(line, lineno)
-            except ParseError:
-                if skip_bad:
-                    continue
-                raise
+            raise
+        yield lineno, rec
 
 
 def parse_raw_record(line: str, lineno: int | None = None) -> dict:
@@ -149,16 +148,14 @@ def write_documents(docs: Iterable[AnnotatedDocument], path: str | Path) -> int:
 
 
 def read_documents(path: str | Path) -> Iterator[AnnotatedDocument]:
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                yield record_to_document(json.loads(line))
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise ParseError(f"bad annotated record: {exc}", lineno) from None
-            except ParseError as exc:
-                raise ParseError(str(exc), lineno) from None
+    for lineno, rec in read_jsonl(path):
+        try:
+            doc = record_to_document(rec)
+        except KeyError as exc:
+            raise ParseError(f"bad annotated record: {exc}", lineno) from None
+        except ParseError as exc:
+            raise ParseError(str(exc), lineno) from None
+        yield doc
 
 
 def refine_document(doc: AnnotatedDocument) -> AnnotatedDocument | None:

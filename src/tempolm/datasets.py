@@ -6,29 +6,21 @@ One record per line: ``text``, ``time`` ("YYYY", "YYYY-MM", or
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Iterator
 
 from .errors import ParseError
 from .finetune import LabeledInstance
-from .manifest import jsonl_line, write_atomic
+from .manifest import jsonl_line, read_jsonl, write_atomic
 from .timescale import CorpusSpan, Granularity, TimePoint, timestamp_to_label
 
 
 def read_task_records(path: str | Path, required: tuple[str, ...] = ("text", "time")) -> Iterator[dict]:
     """Records of a JSONL file; a bad line raises a line-numbered ``ParseError``."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc}", lineno) from None
-            if not isinstance(rec, dict) or any(key not in rec for key in required):
-                raise ParseError(f"task record needs {' and '.join(map(repr, required))}", lineno)
-            yield rec
+    for lineno, rec in read_jsonl(path):
+        if not isinstance(rec, dict) or any(key not in rec for key in required):
+            raise ParseError(f"task record needs {' and '.join(map(repr, required))}", lineno)
+        yield rec
 
 
 def write_task_records(records: list[dict], path: str | Path) -> None:

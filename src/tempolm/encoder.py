@@ -37,6 +37,9 @@ class EncoderConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
+        for name, least in (("layers", 0), ("heads", 1), ("hidden_dim", 1), ("ffn_dim", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.hidden_dim % self.heads != 0:
             raise ConfigError(f"hidden_dim {self.hidden_dim} not divisible by heads {self.heads}")
         if self.max_len < 2:

@@ -23,7 +23,7 @@ from .errors import ConfigError
 from .objectives import example_rng
 from .optim import AdamW
 from .packworker import PackWorker
-from .pretrain import train_step
+from .pretrain import check_schedule, train_step
 from .timescale import TimeLabel
 from .vocab import Vocabulary
 
@@ -151,6 +151,8 @@ def finetune_classifier(
         raise ConfigError("fine-tuning requires a non-empty training set")
     if n_classes < 1:
         raise ConfigError("n_classes must be >= 1")
+    for batch_size, lr, epochs in grid:
+        check_schedule(lr, f"grid point {batch_size}:{lr}:{epochs}: ", batch_size=batch_size, epochs=epochs)
     config = checkpoint.config
     vocab = checkpoint.vocab
     train_ids = [instance_ids(vocab, inst.full_text(), config.max_len) for inst in train]

@@ -13,7 +13,7 @@ from enum import Enum
 from pathlib import Path
 
 from .errors import NotInLexiconError, ParseError
-from .manifest import write_atomic
+from .manifest import read_pairs, write_atomic
 
 
 class Relation(str, Enum):
@@ -83,20 +83,12 @@ class SignalLexicon:
     def load(path: str | Path) -> "SignalLexicon":
         """Load a UTF-8 ``phrase<TAB>CLASS`` file; ``#`` starts a comment."""
         lex = SignalLexicon()
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "\t" not in line:
-                    raise ParseError("expected phrase<TAB>CLASS", lineno)
-                phrase, cls = line.split("\t", 1)
-                cls = cls.strip().upper()
-                try:
-                    relation = Relation(cls)
-                except ValueError:
-                    raise ParseError(f"unknown relation class {cls!r}", lineno) from None
-                lex.add(phrase.strip(), relation)
+        for lineno, phrase, cls in read_pairs(path, "\t", "phrase<TAB>CLASS"):
+            try:
+                relation = Relation(cls.upper())
+            except ValueError:
+                raise ParseError(f"unknown relation class {cls!r}", lineno) from None
+            lex.add(phrase, relation)
         return lex
 
     def save(self, path: str | Path) -> None:

@@ -6,7 +6,9 @@ config snapshot, SHA-256 checksums of inputs and outputs, wall-clock, and
 component versions: re-running a stage with identical inputs must
 reproduce identical artifact checksums.
 Artifacts reach disk only through ``write_atomic``, whole or not at all,
-and JSONL lines are serialized only by ``jsonl_line``.
+and JSONL lines are serialized only by ``jsonl_line``. Input files are read
+only here: line files through ``read_lines``, whole JSON files through
+``read_json``; both reject text that is not UTF-8.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import os
 import platform
 import time
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -51,25 +53,49 @@ def jsonl_line(record: Any) -> str:
 
 
 def read_json(path: str | Path) -> Any:
-    """The JSON value of a whole file; malformed JSON raises ``ParseError``."""
+    """The JSON value of a whole file; malformed JSON or text that is not UTF-8 raises ``ParseError``."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # json.JSONDecodeError or UnicodeDecodeError
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
 
-def parse_config_file(path: str | Path) -> dict[str, str]:
-    values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+def read_lines(path: str | Path, comments: bool = False) -> Iterator[tuple[int, str]]:
+    """``(line number, stripped text)`` of each non-blank line; blank lines count. With ``comments``,
+    ``#`` starts a comment. A line that is not UTF-8 raises a line-numbered ``ParseError``."""
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError("expected key = value", lineno)
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
-    return values
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}: {exc}", lineno) from None
+            line = (line.split("#", 1)[0] if comments else line).strip()
+            if line:
+                yield lineno, line
+
+
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:
+    """``(line number, value)`` of each non-blank line; malformed JSON raises a line-numbered ``ParseError``."""
+    for lineno, line in read_lines(path):
+        try:
+            value = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc}", lineno) from None
+        yield lineno, value
+
+
+def read_pairs(path: str | Path, sep: str, form: str) -> Iterator[tuple[int, str, str]]:
+    """``(line number, key, value)`` of each ``key<sep>value`` line, ``#`` comments dropped; a line
+    without ``sep`` raises a line-numbered ``ParseError`` that expects ``form``."""
+    for lineno, line in read_lines(path, comments=True):
+        key, found, value = line.partition(sep)
+        if not found:
+            raise ParseError(f"expected {form}", lineno)
+        yield lineno, key.strip(), value.strip()
+
+
+def parse_config_file(path: str | Path) -> dict[str, str]:
+    return {key: value for _, key, value in read_pairs(path, "=", "key = value")}
 
 
 def sha256_file(path: str | Path) -> str:

@@ -79,7 +79,6 @@ class SamplingRates:
 class MaskDecision:
     position: int          # subword position, pre-replacement coordinates
     action: MaskAction
-    original_id: int
     source: MaskSource
 
 
@@ -163,12 +162,6 @@ class SubwordView:
         last = span.token_end - 1
         return start, self.starts[last] + len(self.pieces[last])
 
-    def flat_id(self, position: int) -> int:
-        for i in range(len(self.starts) - 1, -1, -1):
-            if self.starts[i] <= position:
-                return self.pieces[i][position - self.starts[i]]
-        raise ConfigError(f"position {position} outside document")
-
 
 def _choose_spans(spans: list[Span], rate: float, rng: np.random.Generator) -> list[Span]:
     k = ceil_rate(len(spans), rate)
@@ -217,7 +210,7 @@ def _sample_masks(
         for i in picked:
             source_at[pool[i]] = MaskSource.ORDINARY
 
-    return [MaskDecision(p, mask_action(rng), view.flat_id(p), source_at[p]) for p in sorted(source_at)]
+    return [MaskDecision(p, mask_action(rng), source_at[p]) for p in sorted(source_at)]
 
 
 def sample_etamlm(

@@ -59,6 +59,16 @@ class PretrainSettings:
     def __post_init__(self):
         if not self.objectives:
             raise ConfigError("pre-training requires a non-empty objective set")
+        check_schedule(self.lr, steps=self.steps, batch_size=self.batch_size, grad_accum=self.grad_accum)
+
+
+def check_schedule(lr: float, where: str = "", **counts: int) -> None:
+    """A training run's settings: every count at least 1, ``lr`` finite and above 0."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ConfigError(f"{where}{name} must be >= 1, got {value}")
+    if not (math.isfinite(lr) and lr > 0):
+        raise ConfigError(f"{where}lr must be finite and > 0, got {lr}")
 
 
 @dataclass

@@ -22,6 +22,7 @@ from .encoder import EncoderConfig, Params, encode_forward, multitask_heads, wra
 from .encoder import collect_grads  # noqa: F401  # perfbench/layers.py traces this module's binding
 from .errors import MissingOccurrencesError, ParseError
 from .finetune import instance_ids
+from .manifest import read_pairs
 from .metrics import metric_pearson, metric_spearman
 from .objectives import apply_mask_policy, example_rng, mask_action
 from .optim import AdamW
@@ -127,20 +128,13 @@ def evaluate_semantic_change(
 
 
 def read_gold_shifts(path: str | Path) -> dict[str, float]:
-    """Load a ``word<TAB>shift_index`` gold file."""
+    """Load a ``word<TAB>shift_index`` gold file; ``#`` starts a comment."""
     gold: dict[str, float] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "\t" not in line:
-                raise ParseError("expected word<TAB>shift_index", lineno)
-            word, value = line.split("\t", 1)
-            try:
-                gold[word] = float(value)
-            except ValueError:
-                raise ParseError(f"bad shift index {value!r}", lineno) from None
+    for lineno, word, value in read_pairs(path, "\t", "word<TAB>shift_index"):
+        try:
+            gold[word] = float(value)
+        except ValueError:
+            raise ParseError(f"bad shift index {value!r}", lineno) from None
     return gold
 
 

@@ -23,6 +23,14 @@ N_BYTES = 256
 _PIECE_RE = re.compile(r"\S+|\s+")
 
 
+def _byte_text(raw: list[int]) -> str:
+    """Text of byte-fallback ids: a lone surrogate comes back as encoded, other invalid bytes as U+FFFD."""
+    try:
+        return bytes(raw).decode("utf-8", "surrogatepass")
+    except UnicodeDecodeError:
+        return bytes(raw).decode("utf-8", "replace")
+
+
 @dataclass
 class Vocabulary:
     tokens: list[str]                       # named block: specials + chars + merges
@@ -87,7 +95,7 @@ class Vocabulary:
         for ch in word:
             idx = self._id_of.get(ch)
             if idx is None:
-                ids.extend(base + b for b in ch.encode("utf-8"))
+                ids.extend(base + b for b in ch.encode("utf-8", "surrogatepass"))
             else:
                 ids.append(idx)
         return ids
@@ -126,11 +134,11 @@ class Vocabulary:
                 pending.append(idx - base)
                 continue
             if pending:
-                out.append(bytes(pending).decode("utf-8", errors="replace"))
+                out.append(_byte_text(pending))
                 pending = []
             out.append(self.tokens[idx])
         if pending:
-            out.append(bytes(pending).decode("utf-8", errors="replace"))
+            out.append(_byte_text(pending))
         return "".join(out)
 
     # -- serialization ----------------------------------------------------

@@ -1,5 +1,5 @@
-"""The single write path for artifacts: whole-or-nothing writes, one JSONL rule; the one process model; the one keyed stream;
-and scipy, loaded only by the t-test."""
+"""The single write path for artifacts: whole-or-nothing writes, one JSONL rule; the one read path for inputs; the one
+process model; the one keyed stream; and scipy, loaded only by the t-test."""
 
 import ast
 import math
@@ -10,8 +10,13 @@ from pathlib import Path
 
 import pytest
 
+from tempolm.annotate import annotate_document
+from tempolm.corpus import document_to_record, read_documents, read_raw_records
+from tempolm.datasets import read_task_records
 from tempolm.errors import ParseError
-from tempolm.manifest import jsonl_line, read_json, write_atomic
+from tempolm.lexicon import SignalLexicon
+from tempolm.manifest import jsonl_line, parse_config_file, read_json, read_jsonl, read_lines, write_atomic
+from tempolm.semchange import read_gold_shifts
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tempolm"
 
@@ -54,6 +59,48 @@ def test_read_json_malformed_raises_parse_error(tmp_path):
         read_json(bad)
     bad.write_text('{"a": [1, 2]}', encoding="utf-8")
     assert read_json(bad) == {"a": [1, 2]}
+
+
+def test_read_json_not_utf8_raises_parse_error(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"a": "caf\xe9"}')
+    with pytest.raises(ParseError, match="bad.json: invalid JSON: 'utf-8' codec"):
+        read_json(bad)
+
+
+def test_read_lines_numbers_raw_lines_and_drops_blanks_and_comments(tmp_path):
+    path = tmp_path / "in.txt"
+    path.write_bytes(b"  first  \n\n \t \r\nsecond # note\r\n# only a comment\n\xc3\xa9 third")
+    assert list(read_lines(path)) == [(1, "first"), (4, "second # note"), (5, "# only a comment"), (6, "é third")]
+    assert list(read_lines(path, comments=True)) == [(1, "first"), (4, "second"), (6, "é third")]
+    path.write_bytes(b'{"a": 1}\n\n[2]\n{"cut\n')
+    values = read_jsonl(path)
+    assert [next(values), next(values)] == [(1, {"a": 1}), (3, [2])]
+    with pytest.raises(ParseError, match="line 4: invalid JSON"):
+        next(values)
+
+
+_FIRST_LINES = {
+    "raw records": ('{"id": "a", "timestamp": "1999-01-02", "text": "ok in 1999."}', lambda p: list(read_raw_records(p))),
+    "annotated records": (jsonl_line(document_to_record(annotate_document("a", "1999-01-02", "In May 1999."))),
+                          lambda p: list(read_documents(p))),
+    "task records": ('{"text": "a", "time": "1999"}', lambda p: list(read_task_records(p))),
+    "gold shifts": ("plane\t0.5", read_gold_shifts),
+    "signal lexicon": ("before\tBEFORE", SignalLexicon.load),
+    "config file": ("seed = 1", parse_config_file),
+}
+
+
+@pytest.mark.parametrize("form", sorted(_FIRST_LINES))
+def test_line_that_is_not_utf8_names_its_line(tmp_path, form):
+    first, read = _FIRST_LINES[form]
+    path = tmp_path / "in"
+    path.write_bytes(first.strip().encode("utf-8") + b"\ncaf\xe9\n")
+    with pytest.raises(ParseError, match="line 2: .*'utf-8' codec can't decode byte 0xe9"):
+        read(path)
+    if form == "raw records":  # skipping bad records does not skip text that is not UTF-8
+        with pytest.raises(ParseError, match="line 2"):
+            list(read_raw_records(path, skip_bad=True))
 
 
 def _is_file_write(call: ast.Call) -> bool:
@@ -275,3 +322,47 @@ def test_only_example_rng_seeds_a_generator_from_a_hash():
     assert offenders == []
     keyed = _hash_seeded_streams((SRC / "objectives.py").read_text(encoding="utf-8"))
     assert [where.split(":")[0] for where in keyed] == ["example_rng"]
+
+
+_READS = {"open", "read_text", "read_bytes"}
+
+
+def _file_reads(source: str, allowed: str | None = None) -> list[str]:
+    """``function:line`` of every ``open``, ``read_text`` or ``read_bytes`` call outside the function named ``allowed``."""
+    found: list[str] = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and _call_name(node) in _READS and function != allowed:
+            found.append(f"{function}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+@pytest.mark.parametrize("source, reads", [
+    ("def f(p):\n    p.exists()\n    json.loads(p.name)\n    read_lines(p)\n", []),
+    ("def f(p):\n    open(p)\n", ["f:2"]),
+    ("def f(p):\n    with io.open(p, 'rb') as fh:\n        return fh\n", ["f:2"]),
+    ("def f(p):\n    return Path(p).open(encoding='utf-8')\n", ["f:2"]),
+    ("def f(p):\n    def g():\n        return p.read_text()\n    return p.read_bytes()\n", ["g:3", "f:4"]),
+    ("text = open('x').read()\n", ["<module>:1"]),
+    ("def checkpoint_load(p):\n    return Path(p).read_bytes()\n", []),
+])
+def test_read_guard_detects_reads(source, reads):
+    assert _file_reads(source, allowed="checkpoint_load") == reads
+
+
+def test_only_manifest_reads_input_files():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "manifest.py":
+            continue
+        allowed = "checkpoint_load" if path.name == "checkpoint.py" else None
+        offenders += [f"{path.name}:{where}" for where in _file_reads(path.read_text(encoding="utf-8"), allowed)]
+    assert offenders == []
+    reads = _file_reads((SRC / "checkpoint.py").read_text(encoding="utf-8"))
+    assert [where.split(":")[0] for where in reads] == ["checkpoint_load"]

@@ -295,7 +295,7 @@ def test_semantic_change_eval(workdir, tmp_path):
     assert -1.0 <= rep["spearman"] <= 1.0
 
 
-def test_config_file_and_env_seed(workdir, tmp_path, monkeypatch):
+def test_config_file_and_env_seed(workdir, tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed = 21\nvocab_size = 300\n# comment\n")
     assert parse_config_file(cfg) == {"seed": "21", "vocab_size": "300"}
@@ -309,6 +309,37 @@ def test_config_file_and_env_seed(workdir, tmp_path, monkeypatch):
     monkeypatch.delenv("TEMPO_SEED")
     run("examples", "--in", ref, "--out", out_flag, "--objectives", "etamlm", "--seed", 21, "--vocab-size", 300)
     assert sha256_file(out_cfg) == sha256_file(out_env) == sha256_file(out_flag)
+
+    # every key a pretrain config can set gives the bytes of the same flags
+    settings = {"seed": 4, "vocab_size": 250, "max_len": 48, "layers": 1, "hidden_dim": 16, "heads": 2,
+                "ffn_dim": 24, "steps": 2, "batch_size": 3, "grad_accum": 2, "lr": "2e-3"}
+    full = tmp_path / "full.cfg"
+    full.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+    flags = [a for key, value in settings.items() for a in (f"--{key.replace('_', '-')}", value)]
+    by_cfg, by_flag = tmp_path / "cfg.tlm", tmp_path / "flag.tlm"
+    assert run("pretrain", "--in", ref, "--out", by_cfg, "--objectives", "etamlm,dd", "--config", full) == 0
+    assert run("pretrain", "--in", ref, "--out", by_flag, "--objectives", "etamlm,dd", *flags) == 0
+    assert sha256_file(by_cfg) == sha256_file(by_flag)
+    assert sha256_file(f"{by_cfg}.loss.jsonl") == sha256_file(f"{by_flag}.loss.jsonl")
+    manifests = [json.loads(Path(f"{out}.manifest.json").read_text()) for out in (by_cfg, by_flag)]
+    assert manifests[0]["config"] == manifests[1]["config"]
+
+    # a key no stage reads exits 2 and names the key
+    unknown = tmp_path / "unknown.cfg"
+    unknown.write_text("seed = 1\nlearning_rate = 1e-3\n")
+    out = tmp_path / "unknown.tlm"
+    assert run("pretrain", "--in", ref, "--out", out, "--config", unknown) == 2
+    assert "unknown config key 'learning_rate'" in capsys.readouterr().err
+    assert not out.exists()
+
+    # a value of the wrong type exits 2 and names the option
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("steps = abc\n")
+    with pytest.raises(SystemExit) as caught:
+        run("pretrain", "--in", ref, "--out", out, "--config", bad)
+    assert caught.value.code == 2
+    assert "argument --steps: invalid int value: 'abc'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_flag_seed_beats_env(workdir, tmp_path, monkeypatch):
@@ -560,3 +591,147 @@ def test_similarity_bad_years_is_config_error(tmp_path, capsys, years):
     assert code == 2
     assert "--years" in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == before
+
+
+def _written(path):
+    """What a failed stage left in ``path``: outputs, temp files and manifests, not its inputs."""
+    return sorted(p.name for p in path.iterdir() if p.suffix in (".tlm", ".json", ".jsonl", ".tmp"))
+
+
+_TINY = ("--steps", 2, "--batch-size", 4, "--grad-accum", 1, "--lr", "1e-3", "--hidden-dim", 32, "--ffn-dim", 48,
+         "--heads", 4, "--layers", 1, "--max-len", 64, "--seed", 3)
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--batch-size", 0, "batch_size must be >= 1, got 0"),
+    ("--steps", 0, "steps must be >= 1, got 0"),
+    ("--steps", -3, "steps must be >= 1, got -3"),
+    ("--grad-accum", 0, "grad_accum must be >= 1, got 0"),
+    ("--lr", "0", "lr must be finite and > 0, got 0.0"),
+    ("--heads", 0, "heads must be >= 1, got 0"),
+    ("--layers", -1, "layers must be >= 0, got -1"),
+    ("--ffn-dim", 0, "ffn_dim must be >= 1, got 0"),
+], ids=["batch-0", "steps-0", "steps-neg", "accum-0", "lr-0", "heads-0", "layers-neg", "ffn-0"])
+def test_pretrain_bad_setting_exits_2_and_writes_nothing(workdir, tmp_path, capsys, flag, value, message):
+    code = run("pretrain", "--in", workdir / "ref.jsonl", "--out", tmp_path / "model.tlm", *_TINY, flag, value)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert _written(tmp_path) == []
+
+
+@pytest.fixture(scope="module")
+def eval_dir(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("eval")
+    events = generate_event_instances(12, start_year=1999, end_year=2002, seed=4)
+    for name in ("train", "val", "test"):
+        _write_jsonl(tmp / f"{name}.jsonl", events)
+    texts = [e["text"] for e in events]
+    _untrained_checkpoint(tmp / "base.tlm", texts)
+    _untrained_checkpoint(tmp / "ft.tlm", texts, {"granularity": "year", "span": "1999..2002", "n_classes": 4})
+    for name, body in (("list", "[]"), ("one", '{"run_accs": [50.0]}'), ("text", '{"run_accs": [50.0, "60"]}'),
+                       ("ok", '{"run_accs": [50.0, 60.0]}')):
+        (tmp / f"baseline_{name}.json").write_text(body)
+    return tmp
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("16:x:3", "grid entry must be batch:lr:epochs, got '16:x:3'"),
+    ("4:1e-3", "grid entry must be batch:lr:epochs, got '4:1e-3'"),
+    ("0:1e-3:1", "grid point 0:0.001:1: batch_size must be >= 1, got 0"),
+    ("4:1e-3:0", "grid point 4:0.001:0: epochs must be >= 1, got 0"),
+    ("4:-1e-3:1", "grid point 4:-0.001:1: lr must be finite and > 0, got -0.001"),
+], ids=["lr-text", "two-fields", "batch-0", "epochs-0", "lr-negative"])
+def test_finetune_bad_grid_exits_2_and_writes_nothing(eval_dir, tmp_path, capsys, grid, message):
+    code = run("finetune", "--checkpoint", eval_dir / "base.tlm", "--train", eval_dir / "train.jsonl",
+               "--val", eval_dir / "val.jsonl", "--out", tmp_path / "ft.tlm", "--span", "1999..2002", "--grid", grid)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert _written(tmp_path) == []
+
+
+@pytest.mark.parametrize("runs, baseline, message", [
+    (2, "list", "needs 'run_accs', a list of 2 or more numbers"),
+    (2, "one", "needs 'run_accs', a list of 2 or more numbers"),
+    (2, "text", "needs 'run_accs', a list of 2 or more numbers"),
+    (1, "ok", "--baseline-report needs --runs 2 or more"),
+    (0, None, "--runs must be >= 1, got 0"),
+], ids=["baseline-list", "baseline-one-run", "baseline-text", "baseline-single-run", "runs-0"])
+def test_eval_bad_runs_or_baseline_exits_2_and_writes_nothing(eval_dir, tmp_path, capsys, runs, baseline, message):
+    args = ["eval", "--runs", runs, "--test", eval_dir / "test.jsonl", "--report", tmp_path / "report.json"]
+    if runs == 1:
+        args += ["--checkpoint", eval_dir / "ft.tlm"]
+    else:
+        args += ["--base-checkpoint", eval_dir / "base.tlm", "--train", eval_dir / "train.jsonl",
+                 "--val", eval_dir / "val.jsonl", "--span", "1999..2002", "--grid", "4:1e-3:1"]
+    if baseline:
+        args += ["--baseline-report", eval_dir / f"baseline_{baseline}.json"]
+    assert run(*args) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert _written(tmp_path) == []
+
+
+def test_env_seed_that_is_not_a_number_exits_2(workdir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("TEMPO_SEED", "x")
+    with pytest.raises(SystemExit) as caught:
+        run("examples", "--in", workdir / "ref.jsonl", "--out", tmp_path / "ex.jsonl", "--objectives", "etamlm")
+    assert caught.value.code == 2
+    assert "argument --seed: invalid int value: 'x'" in capsys.readouterr().err
+    assert _written(tmp_path) == []
+
+
+_IN_OUT = ("--in", "in.jsonl", "--out", "out.jsonl")
+
+
+@pytest.mark.parametrize("stage, rest", [
+    ("annotate", _IN_OUT), ("refine", _IN_OUT), ("calendar", _IN_OUT),
+    ("examples", (*_IN_OUT, "--objectives", "dd")), ("pretrain", _IN_OUT),
+    ("finetune", ("--checkpoint", "c.tlm", "--train", "t.jsonl", "--val", "v.jsonl", "--out", "out.tlm")),
+    ("eval", ()), ("similarity", ("--checkpoint", "c.tlm", "--events", "e.jsonl")),
+    ("timescope", ("--checkpoint", "c.tlm", *_IN_OUT)),
+], ids=["annotate", "refine", "calendar", "examples", "pretrain", "finetune", "eval", "similarity", "timescope"])
+def test_every_stage_reads_its_config_first(tmp_path, capsys, stage, rest):
+    missing = tmp_path / "missing.cfg"
+    assert run(stage, *rest, "--config", missing) == 2
+    assert f"stage '{stage}' requires missing artifact: {missing}" in capsys.readouterr().err
+    assert _written(tmp_path) == []
+
+
+def test_config_keys_a_stage_lacks_are_ignored(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 17\nsteps = 9\n")
+    parser = build_parser(parse_config_file(cfg))
+    args = parser.parse_args(["refine", *_IN_OUT])
+    assert args.seed == 17 and not hasattr(args, "steps")
+    assert parser.parse_args(["refine", *_IN_OUT, "--seed", "2"]).seed == 2
+    assert parser.parse_args(["pretrain", *_IN_OUT]).steps == 9
+    assert build_parser().parse_args(["pretrain", *_IN_OUT]).steps == 50
+
+
+@pytest.mark.parametrize("stage, first", [("annotate", _RAW_LINE), ("refine", ANNOTATED_LINE)], ids=["annotate", "refine"])
+def test_input_line_that_is_not_utf8_exits_2(tmp_path, capsys, stage, first):
+    bad = tmp_path / "in.txt"
+    bad.write_bytes(first.encode("utf-8") + b'{"id": "b", "timestamp": "1999-01-02", "text": "caf\xe9"}\n')
+    assert run(stage, "--in", bad, "--out", tmp_path / "out.jsonl") == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and "'utf-8' codec can't decode byte 0xe9" in err
+    assert _written(tmp_path) == []
+
+
+def test_config_file_that_is_not_utf8_exits_2(workdir, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"seed = 1\nvocab_size = 3\xff0\n")
+    assert run("examples", "--in", workdir / "ref.jsonl", "--out", tmp_path / "ex.jsonl", "--objectives", "etamlm",
+               "--config", cfg) == 2
+    assert "line 2" in capsys.readouterr().err
+    assert _written(tmp_path) == []
+
+
+def test_annotate_error_of_a_record_names_its_line(tmp_path, capsys):
+    raw = tmp_path / "raw.txt"
+    text = "Rain in 1999"
+    raw.write_text(_RAW_LINE + json.dumps({"id": "b", "timestamp": "1999-01-02", "text": text,
+                                           "persons": [[0, 99, "Rain"]]}) + "\n", encoding="utf-8")
+    assert run("annotate", "--in", raw, "--out", tmp_path / "ann.jsonl", "--persons", "external") == 2
+    assert "line 2: person span [0, 99) outside text of length 12" in capsys.readouterr().err
+    assert _written(tmp_path) == []

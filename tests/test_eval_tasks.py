@@ -232,6 +232,12 @@ def test_gold_shift_file(tmp_path):
         read_gold_shifts(bad)
 
 
+def test_gold_shift_file_comments(tmp_path):
+    p = tmp_path / "gold.tsv"
+    p.write_text("# word<TAB>shift\nplane\t0.882  # from the survey\n\n   # indented note\nchairman\t0\n", encoding="utf-8")
+    assert read_gold_shifts(p) == {"plane": 0.882, "chairman": 0.0}
+
+
 def test_bm25_ranks_term_overlap_first():
     docs = [
         "the treaty was signed in 1994 by the leaders",

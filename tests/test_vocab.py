@@ -22,7 +22,7 @@ def test_encode_decode_known_unit():
 
 def test_byte_fallback_roundtrip_unseen_chars():
     vocab = build_vocab(["plain english text"], target_size=40)
-    for s in ["çà va", "日本語", "mixed ascii + ünïcode", "\t tabs \n"]:
+    for s in ["çà va", "日本語", "mixed ascii + ünïcode", "\t tabs \n", "lone \ud800 and \udfff surrogates"]:
         assert vocab.decode(vocab.encode_text(s)) == s
 
 
