@@ -2,20 +2,22 @@
 
 Stages: annotate, refine, calendar, examples, pretrain, finetune, eval,
 similarity, timescope. Each stage consumes and produces the documented
-file formats and writes a ``<output>.manifest.json``. All randomness flows
-from the single run seed. Every stage reads ``--config``; each value in
-``CONFIG_OPTIONS`` comes from its flag, else TEMPO_SEED (the seed only),
-else the config file, else the table's default, and argparse types it.
-Exit code 0 on success, 2 on validation failure.
+file formats. All randomness flows from the single run seed. Every stage
+reads ``--config``; each value in ``CONFIG_OPTIONS`` comes from its flag,
+else TEMPO_SEED (the seed only), else the config file, else the table's
+default, and argparse types it. Every stage runs through ``_run_stage``,
+which checks and hashes the files its ``InFile`` options name and writes
+the ``<output>.manifest.json`` of every option value. Exit code 0 on
+success, 2 on validation failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -64,13 +66,43 @@ CONFIG_OPTIONS: dict[str, tuple[type, int | float]] = {
 }
 
 
-def _require(path: str | None, stage: str) -> Path:
-    if path is None:
-        raise ConfigError(f"stage '{stage}' is missing a required path argument")
-    p = Path(path)
-    if not p.exists():
-        raise DependencyMissingError(stage, str(p))
-    return p
+class InFile(str):
+    """Type of an option that names a file a stage reads: the stage runner checks and hashes it."""
+
+
+class OutFile(str):
+    """Type of an option that names a file a stage writes: it stays out of the manifest config."""
+
+
+def _inputs(args) -> dict[str, InFile]:
+    """The given input files by option, in the parser's order (``--config`` first); a missing one
+    raises ``DependencyMissingError`` naming the stage."""
+    inputs = {key: value for key, value in vars(args).items() if isinstance(value, InFile)}
+    for path in inputs.values():
+        if not os.path.exists(path):
+            raise DependencyMissingError(args.command, path)
+    return inputs
+
+
+def _run_stage(body, args) -> int:
+    """Check and hash the input files, record every other option value that is set, and run ``body(args, derived)``.
+    The body adds to ``derived`` the values it works out from the data and returns the paths it wrote; their
+    manifest goes beside the first. A body that wrote nothing gets no manifest."""
+    config = {key: value for key, value in vars(args).items()
+              if key not in ("func", "command") and value is not None and not isinstance(value, (InFile, OutFile))}
+    derived: dict = {}
+    manifest = ManifestWriter(args.command, {**config, "derived": derived}, _inputs(args))
+    outputs = body(args, derived)
+    if outputs:
+        manifest.write(*outputs)
+    return 0
+
+
+def _need(args, *keys: str) -> None:
+    """Raise ``ConfigError`` unless each of ``keys``, the paths this eval mode reads, was given."""
+    missing = [f"--{key.replace('_', '-')}" for key in keys if getattr(args, key) is None]
+    if missing:
+        raise ConfigError(f"stage 'eval' is missing a required path argument: {', '.join(missing)}")
 
 
 def _parse_objectives(text: str) -> frozenset[Objective]:
@@ -113,48 +145,39 @@ def _map_ordered(worker, items, jobs: int, state: dict):
         yield from pool.imap(worker, items, chunksize=16)
 
 
-def cmd_annotate(args) -> int:
-    in_path = _require(args.in_path, "annotate")
-    lexicon = SignalLexicon.load(_require(args.lexicon, "annotate")) if args.lexicon else SignalLexicon.default()
+def cmd_annotate(args, derived) -> list[str]:
+    lexicon = SignalLexicon.load(args.lexicon) if args.lexicon else SignalLexicon.default()
     sidecar = None
     if args.persons_file:
-        sidecar_records = read_task_records(_require(args.persons_file, "annotate"), required=("doc_id", "persons"))
+        sidecar_records = read_task_records(args.persons_file, required=("doc_id", "persons"))
         sidecar = {rec["doc_id"]: rec["persons"] for rec in sidecar_records}
-    manifest = ManifestWriter("annotate", {"persons": args.persons, "jobs": args.jobs}, [in_path])
     state = {"lexicon": lexicon, "mode": args.persons, "sidecar": sidecar}
-    records = read_raw_records(in_path, skip_bad=args.skip_bad)
+    records = read_raw_records(args.in_path, skip_bad=args.skip_bad)
     count = write_atomic(args.out_path, _map_ordered(_annotate_worker, records, args.jobs, state))
-    manifest.write(args.out_path)
     print(f"annotated {count} records -> {args.out_path}")
-    return 0
+    return [args.out_path]
 
 
-def cmd_refine(args) -> int:
-    in_path = _require(args.in_path, "refine")
-    manifest = ManifestWriter("refine", {}, [in_path])
+def cmd_refine(args, derived) -> list[str]:
     total = 0
 
     def kept_lines():
         nonlocal total
-        for total, doc in enumerate(read_documents(in_path), start=1):
+        for total, doc in enumerate(read_documents(args.in_path), start=1):
             refined = refine_document(doc)
             if refined is not None:
                 yield jsonl_line(document_to_record(refined))
 
     kept = write_atomic(args.out_path, kept_lines())
-    manifest.write(args.out_path)
     print(f"refined {total} -> kept {kept} documents -> {args.out_path}")
-    return 0
+    return [args.out_path]
 
 
-def cmd_calendar(args) -> int:
-    in_path = _require(args.in_path, "calendar")
-    manifest = ManifestWriter("calendar", {}, [in_path])
-    calendar = build_entity_calendar(read_documents(in_path))
+def cmd_calendar(args, derived) -> list[str]:
+    calendar = build_entity_calendar(read_documents(args.in_path))
     calendar.save(args.out_path)
-    manifest.write(args.out_path)
     print(f"calendar with {len(calendar.months)} months -> {args.out_path}")
-    return 0
+    return [args.out_path]
 
 
 def _examples_worker(item):
@@ -170,30 +193,26 @@ def _examples_worker(item):
     return jsonl_line(example_to_record(ex))
 
 
-def _corpus_setup(args, in_path, need_calendar: bool):
-    docs = list(read_documents(in_path))
+def _corpus_setup(args, need_calendar: bool):
+    docs = list(read_documents(args.in_path))
     if not docs:
         raise ConfigError("input corpus is empty")
     span = CorpusSpan.parse(args.span) if args.span else derive_corpus_span(docs)
     calendar = None
     if args.calendar:
-        calendar = EntityCalendar.load(_require(args.calendar, args.command))
+        calendar = EntityCalendar.load(args.calendar)
     elif need_calendar:
         calendar = build_entity_calendar(docs)
     if args.vocab:
-        vocab = Vocabulary.from_json(read_json(_require(args.vocab, args.command)))
+        vocab = Vocabulary.from_json(read_json(args.vocab))
     else:
         vocab = build_vocab([d.text for d in docs], target_size=args.vocab_size)
     return docs, span, calendar, vocab
 
 
-def cmd_examples(args) -> int:
-    in_path = _require(args.in_path, "examples")
+def cmd_examples(args, derived) -> list[str]:
     objectives = _parse_objectives(args.objectives)
-    docs, span, calendar, vocab = _corpus_setup(args, in_path, Objective.TSER in objectives)
-    manifest = ManifestWriter("examples", {
-        "objectives": sorted(o.value for o in objectives), "seed": args.seed, "epoch": args.epoch,
-    }, [in_path])
+    docs, span, calendar, vocab = _corpus_setup(args, Objective.TSER in objectives)
     state = {
         "objectives": objectives, "vocab": vocab, "span": span, "calendar": calendar,
         "lexicon": SignalLexicon.default(), "rates": SamplingRates(), "seed": args.seed,
@@ -201,15 +220,13 @@ def cmd_examples(args) -> int:
     }
     records = (document_to_record(d) for d in docs)
     count = write_atomic(args.out_path, _map_ordered(_examples_worker, records, args.jobs, state))
-    manifest.write(args.out_path)
     print(f"{count} training examples -> {args.out_path}")
-    return 0
+    return [args.out_path]
 
 
-def cmd_pretrain(args) -> int:
-    in_path = _require(args.in_path, "pretrain")
+def cmd_pretrain(args, derived) -> list[str]:
     objectives = _parse_objectives(args.objectives)
-    docs, span, calendar, vocab = _corpus_setup(args, in_path, Objective.TSER in objectives)
+    docs, span, calendar, vocab = _corpus_setup(args, Objective.TSER in objectives)
     enc_config = EncoderConfig(
         layers=args.layers, hidden_dim=args.hidden_dim, heads=args.heads, ffn_dim=args.ffn_dim,
         max_len=args.max_len, vocab_size=vocab.size, dd_classes=span.class_count(Granularity.MONTH), seed=args.seed,
@@ -218,12 +235,7 @@ def cmd_pretrain(args) -> int:
         objectives=objectives, seed=args.seed, steps=args.steps,
         batch_size=args.batch_size, grad_accum=args.grad_accum, lr=args.lr,
     )
-    manifest = ManifestWriter("pretrain", {
-        "objectives": sorted(o.value for o in objectives), "seed": args.seed,
-        "steps": settings.steps, "batch_size": settings.batch_size,
-        "grad_accum": settings.grad_accum, "lr": settings.lr,
-        "encoder": enc_config.to_json(),
-    }, [in_path])
+    derived["encoder"] = enc_config.to_json()
     params, optimizer, logs = pretrain(docs, vocab, enc_config, settings, span=span, calendar=calendar)
     ckpt = EncoderCheckpoint(config=enc_config, vocab=vocab, params=params, step=settings.steps)
     if args.save_optimizer:
@@ -232,9 +244,8 @@ def cmd_pretrain(args) -> int:
     checkpoint_save(ckpt, args.out_path)
     loss_path = f"{args.out_path}.loss.jsonl"
     write_atomic(loss_path, (jsonl_line({"step": log.step, "loss": log.loss, **log.parts}) for log in logs))
-    manifest.write(args.out_path, loss_path)
     print(f"pre-trained {settings.steps} steps (loss {logs[0].loss:.3f} -> {logs[-1].loss:.3f}) -> {args.out_path}")
-    return 0
+    return [args.out_path, loss_path]
 
 
 def _parse_grid(text: str) -> tuple[tuple[int, float, int], ...]:
@@ -267,18 +278,15 @@ def _load_instances(path, granularity, span):
     return [record_to_instance(r, granularity, span) for r in records], span
 
 
-def cmd_finetune(args) -> int:
-    ckpt = checkpoint_load(_require(args.checkpoint, "finetune"))
+def cmd_finetune(args, derived) -> list[str]:
+    ckpt = checkpoint_load(args.checkpoint)
     granularity = _granularity(args.granularity)
     span = CorpusSpan.parse(args.span) if args.span else None
-    train, span = _load_instances(_require(args.train, "finetune"), granularity, span)
-    val, _ = _load_instances(_require(args.val, "finetune"), granularity, span)
+    train, span = _load_instances(args.train, granularity, span)
+    val, _ = _load_instances(args.val, granularity, span)
     grid = _parse_grid(args.grid) if args.grid else DEFAULT_GRID
     n_classes = span.class_count(granularity)
-    manifest = ManifestWriter("finetune", {
-        "granularity": granularity.value, "span": span.render(),
-        "classes": n_classes, "grid": [list(g) for g in grid], "seed": args.seed,
-    }, [args.checkpoint, args.train, args.val])
+    derived.update(classes=n_classes, span=span.render(), grid=[list(g) for g in grid])
     model = finetune_classifier(ckpt, train, val, n_classes, grid=grid, seed=args.seed)
     out = EncoderCheckpoint(
         config=model.config, vocab=model.vocab, params=model.params, step=ckpt.step,
@@ -291,13 +299,12 @@ def cmd_finetune(args) -> int:
         },
     )
     checkpoint_save(out, args.out_path)
-    manifest.write(args.out_path)
     print(
         f"fine-tuned ({granularity.value}, {n_classes} classes); "
         f"selected batch={model.selected[0]} lr={model.selected[1]} epochs={model.selected[2]}; "
         f"val ACC {model.val_acc:.2f} -> {args.out_path}"
     )
-    return 0
+    return [args.out_path]
 
 
 def _finetuned_from_checkpoint(ckpt: EncoderCheckpoint) -> FinetunedModel:
@@ -318,7 +325,7 @@ def _baseline_accs(args) -> list[float] | None:
         return None
     if args.runs < 2:
         raise ConfigError("--baseline-report needs --runs 2 or more")
-    baseline = read_json(_require(args.baseline_report, "eval"))
+    baseline = read_json(args.baseline_report)
     accs = baseline.get("run_accs") if isinstance(baseline, dict) else None
     if not (isinstance(accs, list) and len(accs) >= 2
             and all(type(a) in (int, float) and math.isfinite(a) for a in accs)):
@@ -326,18 +333,14 @@ def _baseline_accs(args) -> list[float] | None:
     return accs
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, derived) -> list[str]:
     if args.task == "semantic-change":
         return _eval_semantic_change(args)
     if args.runs < 1:
         raise ConfigError(f"--runs must be >= 1, got {args.runs}")
     baseline = _baseline_accs(args)
-    granularity = None
+    _need(args, *(("base_checkpoint", "train", "val", "test") if args.runs > 1 else ("checkpoint", "test")))
     span = CorpusSpan.parse(args.span) if args.span else None
-    run_accs: list[float] = []
-    run_maes: list[float] = []
-    inputs = (args.base_checkpoint, args.train, args.val, args.test) if args.runs > 1 else (args.checkpoint, args.test)
-    manifest = ManifestWriter("eval", {"task": args.task, "runs": args.runs}, [_require(p, "eval") for p in inputs])
     if args.runs > 1:
         # 5-run protocol: refit with seed offsets 0..runs-1, average scores
         base = checkpoint_load(args.base_checkpoint)
@@ -347,20 +350,15 @@ def cmd_eval(args) -> int:
         test, _ = _load_instances(args.test, granularity, span)
         grid = _parse_grid(args.grid) if args.grid else DEFAULT_GRID
         n_classes = span.class_count(granularity)
-        for offset in range(args.runs):
-            model = finetune_classifier(base, train, val, n_classes, grid=grid, seed=args.seed + offset)
-            acc, mae = _score_model(model, test)
-            run_accs.append(acc)
-            run_maes.append(mae)
+        models = (finetune_classifier(base, train, val, n_classes, grid=grid, seed=args.seed + offset)
+                  for offset in range(args.runs))
     else:
         ckpt = checkpoint_load(args.checkpoint)
-        model = _finetuned_from_checkpoint(ckpt)
+        models = [_finetuned_from_checkpoint(ckpt)]
         granularity = _granularity(args.granularity or ckpt.task["granularity"])
         span = span or CorpusSpan.parse(ckpt.task["span"])
         test, _ = _load_instances(args.test, granularity, span)
-        acc, mae = _score_model(model, test)
-        run_accs.append(acc)
-        run_maes.append(mae)
+    run_accs, run_maes = (list(scores) for scores in zip(*(_score_model(model, test) for model in models)))
     report = MetricReport(
         acc=float(np.mean(run_accs)),
         mae=float(np.mean(run_maes)),
@@ -375,11 +373,11 @@ def cmd_eval(args) -> int:
     )
     if baseline is not None:
         _, report.p_value = two_tailed_ttest(run_accs, baseline)
-    _write_report(report, args, manifest)
-    return 0
+    return _write_report(report, args)
 
 
-def _write_report(report: MetricReport, args, manifest: ManifestWriter) -> None:
+def _write_report(report: MetricReport, args) -> list[str]:
+    """Print ``report`` as a table and write it to ``--report`` if given; return what was written."""
     table = [("metric", "value")]
     for key, value in report.to_json().items():
         if isinstance(value, float):
@@ -389,23 +387,23 @@ def _write_report(report: MetricReport, args, manifest: ManifestWriter) -> None:
     width = max(len(k) for k, _ in table)
     for key, value in table:
         print(f"{key:<{width}}  {value}")
-    if args.report:
-        write_atomic(args.report, [report.dumps() + "\n"])
-        manifest.write(args.report)
+    if not args.report:
+        return []
+    write_atomic(args.report, [report.dumps() + "\n"])
+    return [args.report]
 
 
-def _eval_semantic_change(args) -> int:
-    ckpt = checkpoint_load(_require(args.checkpoint, "eval"))
-    gold = read_gold_shifts(_require(args.gold, "eval"))
-    sentences_t1 = [line for _, line in read_lines(_require(args.corpus_t1, "eval"))]
-    sentences_t2 = [line for _, line in read_lines(_require(args.corpus_t2, "eval"))]
-    manifest = ManifestWriter("eval", {"task": "semantic-change"},
-                              [args.checkpoint, args.gold, args.corpus_t1, args.corpus_t2])
+def _eval_semantic_change(args) -> list[str]:
+    _need(args, "checkpoint", "gold", "corpus_t1", "corpus_t2")
+    ckpt = checkpoint_load(args.checkpoint)
+    gold = read_gold_shifts(args.gold)
+    sentences_t1 = [line for _, line in read_lines(args.corpus_t1)]
+    sentences_t2 = [line for _, line in read_lines(args.corpus_t2)]
     params = ckpt.params
     if args.adapt_epochs > 0:
         params = adapt_mlm(
             {k: v.copy() for k, v in params.items()}, ckpt.config, ckpt.vocab,
-            sentences_t1 + sentences_t2, lr=args.adapt_lr, epochs=args.adapt_epochs,
+            sentences_t1 + sentences_t2, lr=args.adapt_lr, epochs=args.adapt_epochs, seed=args.seed,
         )
     scores, pearson, spearman = evaluate_semantic_change(
         params, ckpt.config, ckpt.vocab, gold, sentences_t1, sentences_t2,
@@ -414,19 +412,17 @@ def _eval_semantic_change(args) -> int:
         pearson=pearson, spearman=spearman,
         metadata={"task": "semantic-change", "n_words": len(gold), "scores": scores},
     )
-    _write_report(report, args, manifest)
-    return 0
+    return _write_report(report, args)
 
 
-def cmd_similarity(args) -> int:
+def cmd_similarity(args, derived) -> list[str]:
     try:
         first, last = (int(y) for y in args.years.split(":"))
     except ValueError:
         raise ConfigError(f"--years must be FIRST:LAST, got {args.years!r}") from None
-    ckpt = checkpoint_load(_require(args.checkpoint, "similarity"))
+    ckpt = checkpoint_load(args.checkpoint)
     vocabulary = year_vocabulary(first, last)
-    records = list(read_task_records(_require(args.events, "similarity")))
-    manifest = ManifestWriter("similarity", {"years": args.years, "top": args.top}, [args.checkpoint, args.events])
+    records = list(read_task_records(args.events))
     top1 = topk = 0
     rows = []
     for rec in records:
@@ -447,27 +443,23 @@ def cmd_similarity(args) -> int:
             "rankings": rows,
         },
     )
-    _write_report(report, args, manifest)
-    return 0
+    return _write_report(report, args)
 
 
-def cmd_timescope(args) -> int:
-    ckpt = checkpoint_load(_require(args.checkpoint, "timescope"))
+def cmd_timescope(args, derived) -> list[str]:
+    ckpt = checkpoint_load(args.checkpoint)
     model = _finetuned_from_checkpoint(ckpt)
     if ckpt.task["granularity"] != Granularity.MONTH.value:
         raise ConfigError("time-scope estimation needs a month-granularity model")
     span = CorpusSpan.parse(args.span or ckpt.task["span"])
-    in_path = _require(args.in_path, "timescope")
-    manifest = ManifestWriter("timescope", {"span": span.render()}, [args.checkpoint, in_path])
     rows = []
-    for rec in list(read_task_records(in_path, required=("text",))):
+    for rec in list(read_task_records(args.in_path, required=("text",))):
         text = model_text(rec["text"], rec.get("context_timestamp"), rec.get("context_text"))
         start, end = estimate_time_scope(model, text, span)
         rows.append({"text": rec["text"], "start": start.render(), "end": end.render()})
     write_atomic(args.out_path, (jsonl_line(row) for row in rows))
-    manifest.write(args.out_path)
     print(f"estimated {len(rows)} time scopes -> {args.out_path}")
-    return 0
+    return [args.out_path]
 
 
 def build_parser(defaults: dict[str, str] | None = None) -> argparse.ArgumentParser:
@@ -480,58 +472,60 @@ def build_parser(defaults: dict[str, str] | None = None) -> argparse.ArgumentPar
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def stage(name, func, help, *keys):
+    def stage(name, body, help, *keys):
         p = sub.add_parser(name, help=help)
-        p.add_argument("--config", help="key = value file of defaults for the options that name a config key")
+        p.add_argument("--config", type=InFile,
+                       help="key = value file of defaults for the options that name a config key")
         keys = dict.fromkeys(("seed", *keys))
         for key in keys:
             kind, default = CONFIG_OPTIONS[key]
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=kind, default=default,
                            help="default %(default)s; config key %(dest)s")
-        p.set_defaults(func=func, **{key: value for key, value in defaults.items() if key in keys})
+        p.set_defaults(func=functools.partial(_run_stage, body),
+                       **{key: value for key, value in defaults.items() if key in keys})
         return p
 
     p = stage("annotate", cmd_annotate, "annotate a raw corpus")
-    p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--out", dest="out_path", required=True)
+    p.add_argument("--in", dest="in_path", type=InFile, required=True)
+    p.add_argument("--out", dest="out_path", type=OutFile, required=True)
     p.add_argument("--persons", choices=("heuristic", "external"), default="heuristic")
-    p.add_argument("--persons-file", help="sidecar JSONL with doc_id + persons")
-    p.add_argument("--lexicon", help="signal lexicon file (phrase<TAB>CLASS)")
+    p.add_argument("--persons-file", type=InFile, help="sidecar JSONL with doc_id + persons")
+    p.add_argument("--lexicon", type=InFile, help="signal lexicon file (phrase<TAB>CLASS)")
     p.add_argument("--skip-bad", action="store_true")
     p.add_argument("--jobs", type=int, default=1)
 
     p = stage("refine", cmd_refine, "drop sentences without content time")
-    p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--out", dest="out_path", required=True)
+    p.add_argument("--in", dest="in_path", type=InFile, required=True)
+    p.add_argument("--out", dest="out_path", type=OutFile, required=True)
 
     p = stage("calendar", cmd_calendar, "build the monthly person-entity calendar")
-    p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--out", dest="out_path", required=True)
+    p.add_argument("--in", dest="in_path", type=InFile, required=True)
+    p.add_argument("--out", dest="out_path", type=OutFile, required=True)
 
     p = stage("examples", cmd_examples, "emit training examples", "vocab_size", "max_len")
-    p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--out", dest="out_path", required=True)
+    p.add_argument("--in", dest="in_path", type=InFile, required=True)
+    p.add_argument("--out", dest="out_path", type=OutFile, required=True)
     p.add_argument("--objectives", required=True, help="comma list: etamlm,dd,tser,tsemlm,trwr")
-    p.add_argument("--calendar")
-    p.add_argument("--vocab")
+    p.add_argument("--calendar", type=InFile)
+    p.add_argument("--vocab", type=InFile)
     p.add_argument("--span", help="corpus span START..END")
     p.add_argument("--epoch", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
 
     p = stage("pretrain", cmd_pretrain, "joint multi-task pre-training", *CONFIG_OPTIONS)
-    p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--out", dest="out_path", required=True)
+    p.add_argument("--in", dest="in_path", type=InFile, required=True)
+    p.add_argument("--out", dest="out_path", type=OutFile, required=True)
     p.add_argument("--objectives", default="etamlm,dd,tser")
-    p.add_argument("--calendar")
-    p.add_argument("--vocab")
+    p.add_argument("--calendar", type=InFile)
+    p.add_argument("--vocab", type=InFile)
     p.add_argument("--span")
     p.add_argument("--save-optimizer", action="store_true")
 
     p = stage("finetune", cmd_finetune, "fine-tune a time classifier")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--train", required=True)
-    p.add_argument("--val", required=True)
-    p.add_argument("--out", dest="out_path", required=True)
+    p.add_argument("--checkpoint", type=InFile, required=True)
+    p.add_argument("--train", type=InFile, required=True)
+    p.add_argument("--val", type=InFile, required=True)
+    p.add_argument("--out", dest="out_path", type=OutFile, required=True)
     p.add_argument("--granularity", default="year")
     p.add_argument("--span")
     p.add_argument("--grid", help="comma list of batch:lr:epochs")
@@ -539,37 +533,37 @@ def build_parser(defaults: dict[str, str] | None = None) -> argparse.ArgumentPar
     p = stage("eval", cmd_eval, "evaluate a model on a task")
     p.add_argument("--task", default="document-dating",
                    choices=("document-dating", "event-time", "semantic-change"))
-    p.add_argument("--checkpoint", help="fine-tuned checkpoint (single-run mode)")
-    p.add_argument("--test")
+    p.add_argument("--checkpoint", type=InFile, help="fine-tuned checkpoint (single-run mode)")
+    p.add_argument("--test", type=InFile)
     p.add_argument("--granularity")
     p.add_argument("--span")
-    p.add_argument("--report")
+    p.add_argument("--report", type=OutFile)
     p.add_argument("--runs", type=int, default=1,
                    help="refit this many times with seed offsets and average")
-    p.add_argument("--base-checkpoint", dest="base_checkpoint",
+    p.add_argument("--base-checkpoint", dest="base_checkpoint", type=InFile,
                    help="pre-trained checkpoint to refit from when --runs > 1")
-    p.add_argument("--train")
-    p.add_argument("--val")
+    p.add_argument("--train", type=InFile)
+    p.add_argument("--val", type=InFile)
     p.add_argument("--grid", help="comma list of batch:lr:epochs for --runs mode")
-    p.add_argument("--baseline-report", dest="baseline_report",
+    p.add_argument("--baseline-report", dest="baseline_report", type=InFile,
                    help="previous --runs report with run_accs; adds a Welch t-test p-value (needs --runs >= 2)")
-    p.add_argument("--gold", help="semantic-change gold file word<TAB>shift")
-    p.add_argument("--corpus-t1", dest="corpus_t1")
-    p.add_argument("--corpus-t2", dest="corpus_t2")
+    p.add_argument("--gold", type=InFile, help="semantic-change gold file word<TAB>shift")
+    p.add_argument("--corpus-t1", dest="corpus_t1", type=InFile)
+    p.add_argument("--corpus-t2", dest="corpus_t2", type=InFile)
     p.add_argument("--adapt-lr", dest="adapt_lr", type=float, default=1e-6)
     p.add_argument("--adapt-epochs", dest="adapt_epochs", type=int, default=0)
 
     p = stage("similarity", cmd_similarity, "zero-shot temporal similarity ranking")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--events", required=True)
+    p.add_argument("--checkpoint", type=InFile, required=True)
+    p.add_argument("--events", type=InFile, required=True)
     p.add_argument("--years", default="1987:2007")
     p.add_argument("--top", type=int, default=3)
-    p.add_argument("--report")
+    p.add_argument("--report", type=OutFile)
 
     p = stage("timescope", cmd_timescope, "estimate (start, end) month scopes")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--out", dest="out_path", required=True)
+    p.add_argument("--checkpoint", type=InFile, required=True)
+    p.add_argument("--in", dest="in_path", type=InFile, required=True)
+    p.add_argument("--out", dest="out_path", type=OutFile, required=True)
     p.add_argument("--span")
 
     return parser
@@ -581,7 +575,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.config or "TEMPO_SEED" in os.environ:
             # the config file, then TEMPO_SEED over its seed, become the defaults of a second parse,
             # so argparse types each value and a flag still beats it
-            defaults = parse_config_file(_require(args.config, args.command)) if args.config else {}
+            defaults = parse_config_file(_inputs(args)["config"]) if args.config else {}
             unknown = sorted(set(defaults) - set(CONFIG_OPTIONS))
             if unknown:
                 raise ConfigError(f"{args.config}: unknown config key {', '.join(map(repr, unknown))}; "

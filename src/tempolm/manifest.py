@@ -1,10 +1,11 @@
 """Run configuration files and reproducibility manifests.
 
 Config files are line-oriented ``key = value`` text; ``#`` starts a
-comment. Every stage writes a ``<output>.manifest.json`` recording the
-config snapshot, SHA-256 checksums of inputs and outputs, wall-clock, and
-component versions: re-running a stage with identical inputs must
-reproduce identical artifact checksums.
+comment. Every stage writes a ``<output>.manifest.json`` recording its
+config (every option value and the values it derived from the data), the
+path and SHA-256 of each input file by option, the SHA-256 of each output,
+wall-clock, and component versions: re-running a stage with an equal
+config and equal inputs must reproduce identical artifact checksums.
 Artifacts reach disk only through ``write_atomic``, whole or not at all,
 and JSONL lines are serialized only by ``jsonl_line``. Input files are read
 only here: line files through ``read_lines``, whole JSON files through
@@ -109,11 +110,12 @@ def sha256_file(path: str | Path) -> str:
 class ManifestWriter:
     """Manifest of one stage run: created when the stage starts, written when it ends."""
 
-    def __init__(self, stage: str, config: dict, inputs: Iterable[str | Path]):
+    def __init__(self, stage: str, config: dict, inputs: dict[str, str | Path]):
+        """``inputs`` maps each option that names an input file to its path."""
         self.started = time.time()
         self.stage = stage
         self.config = config
-        self.inputs = {str(path): sha256_file(path) for path in inputs}
+        self.inputs = {option: {"path": str(path), "sha256": sha256_file(path)} for option, path in inputs.items()}
 
     def write(self, *outputs: str | Path) -> None:
         """Hash ``outputs`` and save the manifest as ``<first output>.manifest.json``."""

@@ -36,7 +36,7 @@ from .corpus import EntityCalendar
 from .errors import CalendarMissError, ConfigError
 from .lexicon import Relation, SignalLexicon
 from .timescale import CorpusSpan, Granularity, timestamp_to_label
-from .vocab import Vocabulary
+from .vocab import SPECIALS, Vocabulary
 
 
 class Objective(str, Enum):
@@ -314,7 +314,7 @@ def apply_mask_policy(
     """
     ids = list(input_ids)
     targets: dict[int, int] = {}
-    n_specials = 5
+    n_specials = len(SPECIALS)
     for position in sorted(positions_to_action):
         action = positions_to_action[position]
         targets[position] = ids[position]

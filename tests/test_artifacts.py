@@ -1,5 +1,5 @@
 """The single write path for artifacts: whole-or-nothing writes, one JSONL rule; the one read path for inputs; the one
-process model; the one keyed stream; and scipy, loaded only by the t-test."""
+process model; the one keyed stream; scipy, loaded only by the t-test; and the one stage runner that makes manifests."""
 
 import ast
 import math
@@ -366,3 +366,37 @@ def test_only_manifest_reads_input_files():
     assert offenders == []
     reads = _file_reads((SRC / "checkpoint.py").read_text(encoding="utf-8"))
     assert [where.split(":")[0] for where in reads] == ["checkpoint_load"]
+
+
+def _manifest_constructions(source: str, allowed: str | None = None) -> list[str]:
+    """``function:line`` of every ``ManifestWriter`` construction outside the function named ``allowed``."""
+    tree = ast.parse(source)
+    scopes = [(tree, "<module>")] + [
+        (node, node.name) for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    return [f"{function}:{call.lineno}" for scope, function in scopes if function != allowed
+            for call in _own_calls(scope) if _call_name(call) == "ManifestWriter"]
+
+
+@pytest.mark.parametrize("source, made", [
+    ("def _run_stage(body, args):\n    m = ManifestWriter(args.command, {}, {})\n", []),
+    ("def cmd_refine(args, derived):\n    m = manifest.ManifestWriter('refine', {}, {})\n", ["cmd_refine:2"]),
+    ("def _run_stage(body, args):\n    m = ManifestWriter('a', {}, {})\n"
+     "def cmd_eval(args, derived):\n    def inner():\n        return ManifestWriter('eval', {}, {})\n",
+     ["inner:5"]),
+    ("writer = ManifestWriter('x', {}, {})\n", ["<module>:1"]),
+    ("def f(args):\n    return ManifestWriter\n", []),
+])
+def test_manifest_guard_detects_constructions(source, made):
+    assert _manifest_constructions(source, allowed="_run_stage") == made
+
+
+def test_only_the_stage_runner_makes_manifests():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        allowed = "_run_stage" if path.name == "cli.py" else None
+        made = _manifest_constructions(path.read_text(encoding="utf-8"), allowed)
+        offenders += [f"{path.name}:{where}" for where in made]
+    assert offenders == []
+    made = _manifest_constructions((SRC / "cli.py").read_text(encoding="utf-8"))
+    assert [where.split(":")[0] for where in made] == ["_run_stage"]

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 from tempolm.annotate import annotate_document
 from tempolm.checkpoint import EncoderCheckpoint, checkpoint_save
-from tempolm.cli import build_parser, main
+from tempolm.cli import InFile, build_parser, main
 from tempolm.corpus import document_to_record
 from tempolm.encoder import EncoderConfig, init_params
 from tempolm.errors import DependencyMissingError
@@ -82,15 +83,37 @@ def test_missing_upstream_artifact_exit_2(tmp_path, capsys):
     assert "missing artifact" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("stage", ["examples", "pretrain"])
-def test_missing_vocab_names_the_calling_stage(workdir, tmp_path, stage):
-    args = build_parser().parse_args([
-        stage, "--in", str(workdir / "ref.jsonl"), "--out", str(tmp_path / "out"),
-        "--objectives", "etamlm", "--vocab", str(tmp_path / "missing.json"),
-    ])
-    with pytest.raises(DependencyMissingError) as caught:
-        args.func(args)
-    assert caught.value.stage == stage
+# every option of a stage that names a file it reads, besides --config; then the stage's output option
+_FILE_OPTIONS = {
+    "annotate": (("--in", "--persons-file", "--lexicon"), "--out"),
+    "refine": (("--in",), "--out"),
+    "calendar": (("--in",), "--out"),
+    "examples": (("--in", "--calendar", "--vocab"), "--out"),
+    "pretrain": (("--in", "--calendar", "--vocab"), "--out"),
+    "finetune": (("--checkpoint", "--train", "--val"), "--out"),
+    "eval": (("--checkpoint", "--test", "--base-checkpoint", "--train", "--val", "--baseline-report", "--gold",
+              "--corpus-t1", "--corpus-t2"), "--report"),
+    "similarity": (("--checkpoint", "--events"), "--report"),
+    "timescope": (("--checkpoint", "--in"), "--out"),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(_FILE_OPTIONS))
+def test_missing_vocab_names_the_calling_stage(tmp_path, stage):
+    """Each file option of each stage, naming a missing file, stops the stage before it writes anything."""
+    options, out_option = _FILE_OPTIONS[stage]
+    present, missing = tmp_path / "present", tmp_path / "missing"
+    present.write_text("")
+    extra = ("--objectives", "etamlm") if stage == "examples" else ("--runs", "2") if stage == "eval" else ()
+    before = sorted(tmp_path.iterdir())
+    for option in ("--config", *options):
+        given = [a for o in ("--config", *options) for a in (o, str(missing if o == option else present))]
+        args = build_parser().parse_args([stage, *given, out_option, str(tmp_path / "out"), *extra])
+        assert sum(isinstance(value, InFile) for value in vars(args).values()) == len(options) + 1
+        with pytest.raises(DependencyMissingError) as caught:
+            args.func(args)
+        assert (caught.value.stage, caught.value.path) == (stage, str(missing)), option
+        assert sorted(tmp_path.iterdir()) == before, option
 
 
 def test_divergent_pretrain_exits_2_and_writes_nothing(workdir, tmp_path, capsys):
@@ -735,3 +758,81 @@ def test_annotate_error_of_a_record_names_its_line(tmp_path, capsys):
     assert run("annotate", "--in", raw, "--out", tmp_path / "ann.jsonl", "--persons", "external") == 2
     assert "line 2: person span [0, 99) outside text of length 12" in capsys.readouterr().err
     assert _written(tmp_path) == []
+
+
+@pytest.fixture(scope="module")
+def variants_dir(workdir, tmp_path_factory):
+    """Inputs of the manifest cases: the corpus, toy checkpoint and task files, and two versions of each input file
+    whose content a case varies, ``<name>.a`` and ``<name>.b``."""
+    tmp = tmp_path_factory.mktemp("variants")
+    for name in ("raw.jsonl", "ref.jsonl"):
+        shutil.copyfile(workdir / name, tmp / name)
+    one = {"id": "d1", "timestamp": "1996-09-13", "text": "A tribute to Tupac Shakur aired in 1996."}
+    _write_jsonl(tmp / "one.jsonl", [one])
+    events = generate_event_instances(12, start_year=1999, end_year=2002, seed=4)
+    for name in ("train", "val", "test"):
+        _write_jsonl(tmp / f"{name}.jsonl", events)
+    _untrained_checkpoint(tmp / "base.tlm", [e["text"] for e in events])
+    (tmp / "t1.txt").write_text("the plane was a flat surface\nthe chairman spoke to the board\n")
+    (tmp / "t2.txt").write_text("the plane flew over the field\nthe chairman spoke to the board\n")
+    (tmp / "gold.tsv").write_text("plane\t0.882\nchairman\t0\n")
+    texts = [json.loads(line)["text"] for line in (tmp / "ref.jsonl").read_text().splitlines()]
+    months = json.loads((workdir / "cal.json").read_text())
+    versions = {
+        "lex.tsv": ("before\tBEFORE\n", "after\tAFTER\n"),
+        "side.jsonl": ('{"doc_id": "d1", "persons": [[13, 25, "Tupac Shakur"]]}\n', '{"doc_id": "d1", "persons": []}\n'),
+        "vocab.json": tuple(json.dumps(build_vocab(texts, target_size=size).to_json()) for size in (200, 300)),
+        "cal.json": (json.dumps(months), json.dumps({m: names + ["Zed Nobody"] for m, names in months.items()})),
+        "baseline.json": ('{"run_accs": [50.0, 60.0]}', '{"run_accs": [10.0, 20.0]}'),
+    }
+    for name, (a, b) in versions.items():
+        (tmp / f"{name}.a").write_text(a, encoding="utf-8")
+        (tmp / f"{name}.b").write_text(b, encoding="utf-8")
+    return tmp
+
+
+_EVAL_RUNS = ("eval", "--runs", 2, "--base-checkpoint", "base.tlm", "--train", "train.jsonl", "--val", "val.jsonl",
+              "--test", "test.jsonl", "--span", "1999..2002", "--grid", "4:1e-3:1", "--report", "OUT")
+_SEMCHANGE = ("eval", "--task", "semantic-change", "--checkpoint", "base.tlm", "--gold", "gold.tsv",
+              "--corpus-t1", "t1.txt", "--corpus-t2", "t2.txt", "--adapt-epochs", 1, "--adapt-lr", "1e-3",
+              "--report", "OUT")
+_TOY = ("--steps", 2, "--batch-size", 4, "--grad-accum", 1, "--hidden-dim", 16, "--ffn-dim", 24, "--heads", 2,
+        "--layers", 1, "--max-len", 48, "--objectives", "etamlm,dd,tser")
+
+
+# a stage's arguments, OUT standing for its output, and what differs between the two runs: the extra arguments
+# of each, or the name of an input file the runs read at one path, holding its ``.a`` then its ``.b`` version
+@pytest.mark.parametrize("argv, change", [
+    (("annotate", "--in", "raw.jsonl", "--out", "OUT", "--lexicon", "lex.tsv"), "lex.tsv"),
+    (("annotate", "--in", "one.jsonl", "--out", "OUT", "--persons", "external", "--persons-file", "side.jsonl"),
+     "side.jsonl"),
+    (("examples", "--in", "ref.jsonl", "--out", "OUT", "--objectives", "etamlm,dd"),
+     (("--max-len", 32), ("--max-len", 64))),
+    (("examples", "--in", "ref.jsonl", "--out", "OUT", "--objectives", "etamlm", "--vocab", "vocab.json"), "vocab.json"),
+    (("examples", "--in", "ref.jsonl", "--out", "OUT", "--objectives", "tser", "--calendar", "cal.json"), "cal.json"),
+    (("pretrain", "--in", "ref.jsonl", "--out", "OUT", "--calendar", "cal.json", *_TOY), "cal.json"),
+    (("pretrain", "--in", "ref.jsonl", "--out", "OUT", *_TOY), ((), ("--save-optimizer",))),
+    (_EVAL_RUNS, (("--seed", 0), ("--seed", 1))),
+    (_EVAL_RUNS, ((), ("--grid", "4:3e-2:1"))),
+    ((*_EVAL_RUNS, "--baseline-report", "baseline.json"), "baseline.json"),
+    (_SEMCHANGE, (("--seed", 1), ("--seed", 2))),
+    (_SEMCHANGE, ((), ("--adapt-lr", "2e-3"))),
+], ids=["annotate-lexicon", "annotate-persons-file", "examples-max-len", "examples-vocab", "examples-calendar",
+        "pretrain-calendar", "pretrain-save-optimizer", "eval-runs-seed", "eval-runs-grid", "eval-runs-baseline",
+        "semchange-seed", "semchange-adapt-lr"])
+def test_runs_with_different_outputs_have_different_manifests(variants_dir, tmp_path, monkeypatch, argv, change):
+    """Equal ``config`` and ``inputs`` must mean equal output bytes, so two runs whose output bytes differ
+    record a different config or a different input checksum."""
+    shutil.copytree(variants_dir, tmp_path, dirs_exist_ok=True)
+    monkeypatch.chdir(tmp_path)
+    outputs, manifests = [], []
+    for label in ("a", "b"):
+        extra = () if isinstance(change, str) else change[label == "b"]
+        if isinstance(change, str):
+            shutil.copyfile(f"{change}.{label}", change)
+        assert run(*(label if a == "OUT" else a for a in argv), *extra) == 0
+        outputs.append(Path(label).read_bytes())
+        manifest = json.loads(Path(f"{label}.manifest.json").read_text())
+        manifests.append((manifest["config"], manifest["inputs"]))
+    assert outputs[0] != outputs[1]
+    assert manifests[0] != manifests[1]
