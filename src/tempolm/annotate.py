@@ -12,6 +12,8 @@ annotated in parallel without coordination.
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -84,7 +86,7 @@ class Token(NamedTuple):
     char_end: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     """A typed token range; ``token_end`` is exclusive."""
 
@@ -104,14 +106,23 @@ class Span:
             raise ValueError("only temporal expressions carry a normalization")
 
 
-@dataclass
+@dataclass(slots=True)
 class AnnotatedDocument:
+    """A document with its tokens held as columns: interned texts and ``array('q')`` char offsets."""
+
     id: str
     timestamp: TimePoint
     text: str
-    tokens: list[Token]
+    token_texts: list[str]
+    token_starts: array
+    token_ends: array
     spans: list[Span]
     sentence_bounds: list[tuple[int, int]] = field(default_factory=list)
+
+    @property
+    def tokens(self) -> list[Token]:
+        """The tokens as ``Token`` views, built on each access."""
+        return list(map(Token, self.token_texts, self.token_starts, self.token_ends))
 
     def spans_of_kind(self, kind: SpanKind) -> list[Span]:
         return [s for s in self.spans if s.kind is kind]
@@ -293,7 +304,7 @@ def _select_nonoverlapping(cands: list[tuple[int, int, TimePoint | None]]) -> li
 
 
 def _surface(text: str, tokens: list[Token], start: int, end: int) -> str:
-    return text[tokens[start].char_start : tokens[end - 1].char_end]
+    return sys.intern(text[tokens[start].char_start : tokens[end - 1].char_end])
 
 
 def tag_temporal_expressions(tokens: list[Token], text: str) -> list[Span]:
@@ -485,4 +496,6 @@ def annotate_document(
         if _within_one_sentence(s, bounds)
     ]
     spans.sort(key=lambda s: (s.token_start, s.kind.value))
-    return AnnotatedDocument(doc_id, timestamp, text, tokens, spans, bounds)
+    return AnnotatedDocument(doc_id, timestamp, text, [sys.intern(t.text) for t in tokens],
+                             array("q", [t.char_start for t in tokens]), array("q", [t.char_end for t in tokens]),
+                             spans, bounds)

@@ -31,7 +31,6 @@ from .corpus import (
     document_to_record,
     read_documents,
     read_raw_records,
-    record_to_document,
     refine_document,
 )
 from .datasets import derive_task_span, read_task_records, record_to_instance
@@ -159,17 +158,22 @@ def cmd_annotate(args, derived) -> list[str]:
 
 
 def cmd_refine(args, derived) -> list[str]:
-    total = 0
+    derived.update(docs_read=0, docs_kept=0, sentences_dropped=0, tokens_read=0, tokens_kept=0)
 
     def kept_lines():
-        nonlocal total
-        for total, doc in enumerate(read_documents(args.in_path), start=1):
+        for doc in read_documents(args.in_path):
             refined = refine_document(doc)
+            derived["docs_read"] += 1
+            derived["tokens_read"] += len(doc.token_texts)
+            derived["sentences_dropped"] += len(doc.sentence_bounds)
             if refined is not None:
+                derived["docs_kept"] += 1
+                derived["tokens_kept"] += len(refined.token_texts)
+                derived["sentences_dropped"] -= len(refined.sentence_bounds)
                 yield jsonl_line(document_to_record(refined))
 
-    kept = write_atomic(args.out_path, kept_lines())
-    print(f"refined {total} -> kept {kept} documents -> {args.out_path}")
+    write_atomic(args.out_path, kept_lines())
+    print(f"refined {derived['docs_read']} -> kept {derived['docs_kept']} documents -> {args.out_path}")
     return [args.out_path]
 
 
@@ -180,10 +184,8 @@ def cmd_calendar(args, derived) -> list[str]:
     return [args.out_path]
 
 
-def _examples_worker(item):
-    rec = item
+def _examples_worker(doc):
     state = _WORKER_STATE
-    doc = record_to_document(rec)
     ex = build_training_example(
         doc, state["objectives"], state["vocab"],
         span=state["span"], calendar=state["calendar"], lexicon=state["lexicon"],
@@ -218,8 +220,7 @@ def cmd_examples(args, derived) -> list[str]:
         "lexicon": SignalLexicon.default(), "rates": SamplingRates(), "seed": args.seed,
         "epoch": args.epoch, "max_len": args.max_len,
     }
-    records = (document_to_record(d) for d in docs)
-    count = write_atomic(args.out_path, _map_ordered(_examples_worker, records, args.jobs, state))
+    count = write_atomic(args.out_path, _map_ordered(_examples_worker, docs, args.jobs, state))
     print(f"{count} training examples -> {args.out_path}")
     return [args.out_path]
 

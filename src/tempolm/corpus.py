@@ -9,14 +9,16 @@ surface] triples). Annotated corpora reuse the record and add ``tokens``,
 from __future__ import annotations
 
 import json
+import sys
+from array import array
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .annotate import AnnotatedDocument, Span, SpanKind, Token
+from .annotate import AnnotatedDocument, Span, SpanKind
 from .errors import ConfigError, ParseError, TimestampParseError
 from .lexicon import Relation
 from .manifest import jsonl_line, read_json, read_jsonl, read_lines, write_atomic
@@ -81,7 +83,7 @@ def document_to_record(doc: AnnotatedDocument) -> dict:
         "id": doc.id,
         "timestamp": doc.timestamp.render(),
         "text": doc.text,
-        "tokens": [[t.text, t.char_start, t.char_end] for t in doc.tokens],
+        "tokens": list(map(list, zip(doc.token_texts, doc.token_starts, doc.token_ends))),
         "spans": spans,
         "sentences": [list(b) for b in doc.sentence_bounds],
     }
@@ -102,14 +104,13 @@ def record_to_document(rec: dict) -> AnnotatedDocument:
     try:
         timestamp = parse_timestamp(rec["timestamp"])
         part = "tokens"
-        tokens = [Token(t[0], t[1], t[2]) for t in rec["tokens"]]
-        # the types present, each field in one C-level pass
-        texts = set(map(type, map(attrgetter("text"), tokens)))
-        offsets = set(map(type, map(attrgetter("char_start"), tokens))) | set(map(type, map(attrgetter("char_end"), tokens)))
-        if texts - {str} or offsets - {int}:
+        # token by token, so the first bad token raises; then each column's types in one C-level pass
+        texts, starts, ends = [*zip(*map(itemgetter(0, 1, 2), rec["tokens"]))] or ((), (), ())
+        if set(map(type, texts)) - {str} or (set(map(type, starts)) | set(map(type, ends))) - {int}:
             raise TypeError("token text must be a string and its offsets integers")
+        token_starts, token_ends = array("q", starts), array("q", ends)
         part = "spans"
-        n_tokens = len(tokens)
+        n_tokens = len(texts)
         spans = []
         for s in rec["spans"]:
             start, end = s["start"], s["end"]
@@ -119,7 +120,7 @@ def record_to_document(rec: dict) -> AnnotatedDocument:
                 kind=SpanKind(s["kind"]),
                 token_start=start,
                 token_end=end,
-                surface=s["surface"],
+                surface=sys.intern(s["surface"]),
                 relation=Relation(s["relation"]) if s.get("relation") else None,
                 normalized=normalized,
             ))
@@ -131,13 +132,15 @@ def record_to_document(rec: dict) -> AnnotatedDocument:
     except TimestampParseError as exc:  # the record's timestamp or a span's normalization
         what = "timestamp" if part == "timestamp" else "normalized"
         raise ParseError(f"bad field {what!r} in annotated record: {exc}") from None
-    except (TypeError, ValueError, IndexError, AttributeError) as exc:
+    except (TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
         raise ParseError(f"bad field {part!r} in annotated record: {exc}") from None
     return AnnotatedDocument(
         id=rec["id"],
         timestamp=timestamp,
         text=rec["text"],
-        tokens=tokens,
+        token_texts=list(map(sys.intern, texts)),
+        token_starts=token_starts,
+        token_ends=token_ends,
         spans=spans,
         sentence_bounds=sentence_bounds,
     )
@@ -176,13 +179,16 @@ def refine_document(doc: AnnotatedDocument) -> AnnotatedDocument | None:
         return None
 
     new_index: dict[int, int] = {}
-    tokens: list[Token] = []
+    texts: list[str] = []
+    starts, ends = array("q"), array("q")
     bounds: list[tuple[int, int]] = []
     for (s, e) in keep:
-        bounds.append((len(tokens), len(tokens) + (e - s)))
-        for k in range(s, e):
-            new_index[k] = len(tokens)
-            tokens.append(doc.tokens[k])
+        n = len(texts)
+        bounds.append((n, n + (e - s)))
+        new_index.update(zip(range(s, e), range(n, n + (e - s))))
+        texts += doc.token_texts[s:e]
+        starts += doc.token_starts[s:e]
+        ends += doc.token_ends[s:e]
     spans = []
     for sp in doc.spans:
         if sp.token_start in new_index and (sp.token_end - 1) in new_index:
@@ -190,7 +196,7 @@ def refine_document(doc: AnnotatedDocument) -> AnnotatedDocument | None:
             end = new_index[sp.token_end - 1] + 1
             if end - start == sp.token_end - sp.token_start:
                 spans.append(Span(sp.kind, start, end, sp.surface, sp.relation, sp.normalized))
-    return AnnotatedDocument(doc.id, doc.timestamp, doc.text, tokens, spans, bounds)
+    return AnnotatedDocument(doc.id, doc.timestamp, doc.text, texts, starts, ends, spans, bounds)
 
 
 def refine_corpus(docs: Iterable[AnnotatedDocument]) -> Iterator[AnnotatedDocument]:

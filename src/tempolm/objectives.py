@@ -75,14 +75,14 @@ class SamplingRates:
                 raise ConfigError(f"rate {name} must be in (0, 1], got {value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MaskDecision:
     position: int          # subword position, pre-replacement coordinates
     action: MaskAction
     source: MaskSource
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntityDecision:
     """A replaced/not-replaced target over a (person or signal) span."""
 
@@ -99,7 +99,7 @@ class EntityDecision:
             raise ConfigError("replacement surface present iff the span was replaced")
 
 
-@dataclass
+@dataclass(slots=True)
 class TrainingExample:
     doc_id: str
     epoch: int
@@ -148,8 +148,8 @@ class SubwordView:
     def build(doc: AnnotatedDocument, vocab: Vocabulary) -> "SubwordView":
         view = SubwordView(doc, vocab)
         pos = 0
-        for tok in doc.tokens:
-            ids = vocab.encode_word(tok.text)
+        for text in doc.token_texts:
+            ids = vocab.encode_word(text)
             view.pieces.append(ids)
             view.starts.append(pos)
             pos += len(ids)
@@ -271,9 +271,9 @@ def apply_tser(
     month = view.doc.month_key
     if month not in calendar.months:
         raise CalendarMissError(f"no calendar entry for month {month}")
-    pool = calendar.months[month]
+    pool = sorted(calendar.months[month])
     return _replace_spans(view, decisions, SpanKind.PERSON, MaskSource.PERSON,
-                          lambda span: sorted(pool - {span.surface}), rng, p_replace)
+                          lambda span: [p for p in pool if p != span.surface], rng, p_replace)
 
 
 def apply_trwr(

@@ -27,7 +27,7 @@ class Granularity(str, Enum):
 _ISO_DATE_RE = re.compile(r"^(\d{4})-(\d{2})-(\d{2})$")
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, slots=True)
 class TimePoint:
     """A calendar time at one of four granularities.
 

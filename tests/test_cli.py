@@ -46,6 +46,23 @@ def test_annotate_counts_and_manifest(workdir, capsys):
     assert manifest["inputs"]
 
 
+def test_refine_reports_what_it_dropped_and_reruns_to_an_equal_manifest(tmp_path):
+    texts = ("Before 2006, Tupac Shakur quit. No dates here. Again in 1999 he returned.",  # 17 tokens, 13 kept
+             "Nothing temporal at all. Truly nothing.",  # 8 tokens, dropped
+             "In 1999 he left.")  # 5 tokens, kept whole
+    raw = tmp_path / "raw.jsonl"
+    _write_jsonl(raw, [{"id": f"d{i}", "timestamp": "2007-05-04", "text": t} for i, t in enumerate(texts)])
+    run("annotate", "--in", raw, "--out", tmp_path / "ann.jsonl")
+    manifests = []
+    for _ in range(2):
+        assert run("refine", "--in", tmp_path / "ann.jsonl", "--out", tmp_path / "ref.jsonl") == 0
+        manifest = json.loads((tmp_path / "ref.jsonl.manifest.json").read_text())
+        manifests.append({k: v for k, v in manifest.items() if k not in ("started_unix", "elapsed_s")})
+    assert manifests[0]["config"]["derived"] == {
+        "docs_read": 3, "docs_kept": 2, "sentences_dropped": 3, "tokens_read": 30, "tokens_kept": 18}
+    assert manifests[0] == manifests[1]
+
+
 def test_annotate_rerun_identical_checksum(workdir, tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     run("annotate", "--in", workdir / "raw.jsonl", "--out", a)

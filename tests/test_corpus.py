@@ -1,11 +1,15 @@
+import gc
 import hashlib
 import json
+import pickle
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
 from tempolm import objectives
-from tempolm.annotate import SpanKind, annotate_document
+from tempolm.annotate import SpanKind, annotate_document, tokenize_raw
 from tempolm.corpus import (
     EntityCalendar,
     build_entity_calendar,
@@ -126,6 +130,73 @@ def test_annotated_record_roundtrip(tmp_path):
     docs = list(read_documents(p))
     assert len(docs) == 1
     assert document_to_record(docs[0]) == rec
+
+
+def test_tokens_are_interned_columns_viewed_as_the_tokenizer_output():
+    doc = make_doc()
+    back = record_to_document(json.loads(json.dumps(document_to_record(doc))))
+    for d in (doc, back, refine_document(doc)):
+        assert all(sys.intern(t) is t for t in d.token_texts)
+        assert d.token_starts.typecode == d.token_ends.typecode == "q"
+        assert all(sys.intern(s.surface) is s.surface for s in d.spans)
+    assert doc.tokens == tokenize_raw(doc.text)
+    assert back.tokens == doc.tokens
+
+
+@pytest.mark.parametrize("text", ["", "Été 1999 : Zoë Ça-va met “Mr. Øster” — 北京 in 2006. Ünïcode ends."])
+def test_record_round_trip_is_lossless_for_empty_and_non_ascii_text(tmp_path, text):
+    doc = annotate_document("ü-1", "2001-02-03", text)
+    rec = document_to_record(doc)
+    back = record_to_document(json.loads(json.dumps(rec, ensure_ascii=False)))
+    assert back == doc and document_to_record(back) == rec
+    write_documents([doc], tmp_path / "ann.jsonl")
+    assert list(read_documents(tmp_path / "ann.jsonl")) == [doc]
+
+
+def _with_token(rec, index, token):
+    return {**rec, "tokens": [token if i == index else t for i, t in enumerate(rec["tokens"])]}
+
+
+_GOOD = document_to_record(make_doc())
+
+
+@pytest.mark.parametrize("rec, message", [
+    (_with_token(_GOOD, 1, ["2006", True, 11]),
+     "bad field 'tokens' in annotated record: token text must be a string and its offsets integers"),
+    (_with_token(_GOOD, 1, [2006, 7, 11]),
+     "bad field 'tokens' in annotated record: token text must be a string and its offsets integers"),
+    (_with_token(_GOOD, 1, ["2006", 7]), "bad field 'tokens' in annotated record: list index out of range"),
+    (_with_token(_GOOD, 1, ["2006", 7, 2**63]), "bad field 'tokens' in annotated record: "),
+    ({**_GOOD, "spans": [{**_GOOD["spans"][0], "surface": 5}]}, "bad field 'spans' in annotated record: "),
+])
+def test_bad_token_record_raises_parse_error(rec, message):
+    with pytest.raises(ParseError) as err:
+        record_to_document(rec)
+    assert str(err.value).startswith(message)
+
+
+def test_documents_and_examples_survive_pickle():
+    doc = make_doc()
+    vocab = build_vocab([doc.text], target_size=120)
+    ex = objectives.build_training_example(doc, set(objectives.Objective) - {objectives.Objective.DD}, vocab,
+                                          calendar=build_entity_calendar([doc]), seed=3)
+    assert pickle.loads(pickle.dumps(doc)) == doc
+    assert pickle.loads(pickle.dumps(ex)) == ex
+
+
+def test_read_back_documents_take_at_most_150_bytes_per_token():
+    records = generate_corpus(200, seed=7, sentences_per_doc=4, undated_sentence_rate=0.2)
+    lines = [json.dumps(document_to_record(annotate_document(r["id"], r["timestamp"], r["text"]))) for r in records]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        docs = [record_to_document(json.loads(line)) for line in lines]
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    tokens = sum(len(d.token_texts) for d in docs)
+    assert held / tokens <= 150
 
 
 def test_raw_record_validation(tmp_path):

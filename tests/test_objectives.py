@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tempolm.annotate import SpanKind, annotate_document
-from tempolm.corpus import EntityCalendar, build_entity_calendar
+from tempolm.corpus import EntityCalendar, build_entity_calendar, derive_corpus_span
 from tempolm.errors import CalendarMissError, ConfigError
 from tempolm.lexicon import SignalLexicon
 from tempolm.objectives import (
@@ -26,6 +26,7 @@ from tempolm.objectives import (
     sample_etamlm,
     sample_tsemlm,
 )
+from tempolm.synth import FIRST_NAMES, generate_corpus
 from tempolm.timescale import CorpusSpan, TimePoint, Granularity
 from tempolm.vocab import build_vocab
 
@@ -344,6 +345,44 @@ def test_build_example_targets_lie_inside_the_sequence(vocab, max_len, objective
     assert n <= max_len
     assert all(p < n for p in ex.mlm_targets)
     assert all(1 <= d.sub_start < d.sub_end <= n for d in ex.replacement_targets)
+
+
+_SYNTH_VOCAB = build_vocab([r["text"] for r in generate_corpus(40, seed=3, sentences_per_doc=4)], target_size=300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    doc_seed=st.integers(0, 2**16),
+    sentences=st.integers(1, 8),
+    max_len=st.integers(2, 200),
+    extra=st.sets(st.sampled_from([Objective.DD, Objective.TSER, Objective.TRWR])),
+    seed=st.integers(0, 2**16),
+)
+def test_masking_budget_is_exact_and_truncation_only_cuts(doc_seed, sentences, max_len, extra, seed):
+    """Untruncated, an example has exactly ceil(0.15 n) MLM targets over its n content subwords whenever
+    the chosen temporal spans fit that budget and the unblocked pool can supply the rest; any max_len
+    keeps exactly the untruncated targets below it."""
+    rec = generate_corpus(1, seed=doc_seed, sentences_per_doc=sentences, undated_sentence_rate=0.3)[0]
+    doc = annotate_document(rec["id"], rec["timestamp"], rec["text"])
+    calendar = build_entity_calendar([doc])
+    for name in FIRST_NAMES[:3]:
+        calendar.add(doc.month_key, f"{name} Example")
+
+    def example(length):
+        return build_training_example(doc, {Objective.ETAMLM, *extra}, _SYNTH_VOCAB, span=derive_corpus_span([doc]),
+                                      calendar=calendar, seed=seed, max_len=length)
+
+    full = example(10**9)
+    view = SubwordView.build(doc, _SYNTH_VOCAB)
+    budget = ceil_rate(view.n_content, SamplingRates().total)
+    decisions = sample_etamlm(view, SamplingRates(), example_rng(seed, doc.id, 0))  # the example's first draws
+    chosen = sum(d.source is not MaskSource.ORDINARY for d in decisions)
+    temporal = {p for s in doc.spans if s.kind is not SpanKind.PERSON for p in range(*view.span_range(s))}
+    if chosen <= budget and view.n_content - len(temporal) >= budget - chosen:
+        assert len(full.mlm_targets) == budget
+    ex = example(max_len)
+    assert ex.input_ids == full.input_ids[:max_len]
+    assert ex.mlm_targets == {p: t for p, t in full.mlm_targets.items() if p < max_len}
 
 
 def test_replaced_rate_statistics(vocab):
