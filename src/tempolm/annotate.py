@@ -11,11 +11,15 @@ annotated in parallel without coordination.
 
 from __future__ import annotations
 
+import functools
 import re
 import sys
 from array import array
+from bisect import bisect_left, bisect_right
+from collections.abc import Container
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import AnnotationAlignmentError
@@ -52,8 +56,8 @@ _MONTHS = {
 _SEASONS = {"spring", "summer", "fall", "autumn", "winter"}
 _WEEKDAYS = {"monday", "tuesday", "wednesday", "thursday", "friday", "saturday", "sunday"}
 _EDGE_MODIFIERS = {"early", "mid", "late"}
-# lowercase words that can open an expression; any other opener starts with a digit or a capital
-_LOWER_OPENERS = _SEASONS | _EDGE_MODIFIERS
+# lowercased words that can open an expression; any other opener starts with a digit
+_OPENER_WORDS = frozenset(_MONTHS) | _SEASONS | _EDGE_MODIFIERS
 
 # Capitalized words that start sentences or noun phrases far more often than
 # they start names; kept short on purpose, the heuristic may overtag.
@@ -63,6 +67,8 @@ _CAP_STOPWORDS = {
     "His", "Her", "Their", "Its", "This", "That", "These", "Those", "There",
     "When", "While", "After", "Before", "During", "Since", "Until",
 }
+# lowercased capitalized words that are never part of a name
+_NOT_NAMES = frozenset(_MONTHS) | _SEASONS | _WEEKDAYS
 
 _YEAR_RE = re.compile(r"^[12]\d{3}$")
 _DECADE_RE = re.compile(r"^[12]\d{2}0s$")
@@ -132,6 +138,45 @@ class AnnotatedDocument:
         return f"{self.timestamp.year:04d}-{self.timestamp.month:02d}"
 
 
+@dataclass(slots=True)
+class _Columns:
+    """A text's tokens as columns, with the token indices where each later stage can start."""
+
+    texts: list[str]
+    starts: array
+    ends: array
+    lowered: list[str]
+    openers: list[int]  # digit-led, or a month, season or edge word: an expression can open here
+    heads: list[int]  # the first word of a lexicon phrase: a signal can open here
+    caps: list[int]  # capitalized: an honorific or a name can open here
+    terminals: list[int]  # ".", "!" or "?": a sentence can close here
+
+
+def _columns(texts: list[str], starts: array, ends: array, first_words: Container[str]) -> _Columns:
+    """One pass over the token texts that lowercases them and records every stage's start indices."""
+    cols = _Columns(texts, starts, ends, [], [], [], [], [])
+    lowered, openers, heads, caps, terminals = cols.lowered, cols.openers, cols.heads, cols.caps, cols.terminals
+    for i, t in enumerate(texts):
+        low = t.lower()
+        lowered.append(low)
+        if t[0].isupper():
+            caps.append(i)
+            if low in _OPENER_WORDS:
+                openers.append(i)
+        elif t[0].isdigit() or low in _OPENER_WORDS:
+            openers.append(i)
+        if low in first_words:
+            heads.append(i)
+        if t in _TERMINAL_PUNCT:
+            terminals.append(i)
+    return cols
+
+
+def _token_columns(tokens: list[Token], first_words: Container[str] = ()) -> _Columns:
+    return _columns([t.text for t in tokens], array("q", [t.char_start for t in tokens]),
+                    array("q", [t.char_end for t in tokens]), first_words)
+
+
 def tokenize_raw(text: str) -> list[Token]:
     """Whitespace/punctuation tokenization with source offsets."""
     return [Token(m.group(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
@@ -144,43 +189,31 @@ def split_sentences(tokens: list[Token]) -> list[tuple[int, int]]:
     abbreviation or a single-letter initial, or the next token does not look
     like a sentence opener. Trailing closers are pulled into the sentence.
     """
+    return _sentence_bounds(_token_columns(tokens))
+
+
+def _sentence_bounds(cols: _Columns) -> list[tuple[int, int]]:
+    texts = cols.texts
+    n = len(texts)
     bounds: list[tuple[int, int]] = []
     start = 0
-    i = 0
-    n = len(tokens)
-    while i < n:
-        text = tokens[i].text
-        boundary = False
-        if text in _TERMINAL_PUNCT:
-            prev = tokens[i - 1].text if i > start else ""
-            abbrev = text == "." and (
-                prev.lower() in ABBREVIATIONS or (len(prev) == 1 and prev.isalpha() and prev.isupper())
-            )
-            if not abbrev:
-                j = i + 1
-                while j < n and tokens[j].text in _TERMINAL_OR_CLOSER:
-                    j += 1
-                if j >= n:
-                    boundary = True
-                    i = j - 1
-                else:
-                    nxt = tokens[j].text
-                    if nxt[0].isupper() or nxt[0].isdigit() or nxt[0] in _OPENERS:
-                        boundary = True
-                        i = j - 1
-        if boundary:
-            bounds.append((start, i + 1))
-            start = i + 1
-        i += 1
+    for i in cols.terminals:
+        if i < start:
+            continue  # a terminal already pulled into the sentence before
+        if texts[i] == "." and i > start:
+            prev = texts[i - 1]
+            if cols.lowered[i - 1] in ABBREVIATIONS or (len(prev) == 1 and prev.isalpha() and prev.isupper()):
+                continue
+        j = i + 1
+        while j < n and texts[j] in _TERMINAL_OR_CLOSER:
+            j += 1
+        if j < n and not (texts[j][0].isupper() or texts[j][0].isdigit() or texts[j][0] in _OPENERS):
+            continue
+        bounds.append((start, j))
+        start = j
     if start < n:
         bounds.append((start, n))
     return bounds
-
-
-def _is_month(text: str) -> int | None:
-    if text[0].isupper() and text.rstrip(".").lower() in _MONTHS:
-        return _MONTHS[text.rstrip(".").lower()]
-    return None
 
 
 def _day_number(text: str) -> int | None:
@@ -190,32 +223,29 @@ def _day_number(text: str) -> int | None:
     return None
 
 
-def _adjacent(tokens: list[Token], i: int, j: int) -> bool:
-    return tokens[i].char_end == tokens[j].char_start
+# time points are immutable and a corpus names few distinct ones, so each is built once
+_time_point = functools.lru_cache(maxsize=4096)(TimePoint)
 
 
-def _expression_candidates(tokens: list[Token]) -> list[tuple[int, int, TimePoint | None]]:
+def _expression_candidates(cols: _Columns) -> list[tuple[int, int, TimePoint | None]]:
     """All raw pattern matches as (start, end, normalization) triples."""
     out: list[tuple[int, int, TimePoint | None]] = []
-    n = len(tokens)
-    texts = [t.text for t in tokens]
-
-    # every pattern starts at a digit, a capital, a season or an edge modifier
-    openers = [i for i, t in enumerate(texts) if t[0].isdigit() or t[0].isupper() or t.lower() in _LOWER_OPENERS]
-    for i in openers:
+    texts, lowered, starts, ends = cols.texts, cols.lowered, cols.starts, cols.ends
+    n = len(texts)
+    for i in cols.openers:
         t = texts[i]
         digit = t[0].isdigit()  # digit-led patterns and word-led patterns never share a start
 
         # YYYY-MM-DD written without spaces
         if (
             digit and i + 4 < n
-            and _YEAR_RE.match(t)
             and texts[i + 1] == "-" and texts[i + 3] == "-"
+            and _YEAR_RE.match(t)
             and _TWO_DIGITS_RE.match(texts[i + 2]) and _TWO_DIGITS_RE.match(texts[i + 4])
-            and all(_adjacent(tokens, k, k + 1) for k in range(i, i + 4))
+            and all(ends[k] == starts[k + 1] for k in range(i, i + 4))  # written without spaces
         ):
             try:
-                tp = TimePoint(int(t), int(texts[i + 2]), int(texts[i + 4]), granularity=Granularity.DAY)
+                tp = _time_point(int(t), int(texts[i + 2]), int(texts[i + 4]), granularity=Granularity.DAY)
                 out.append((i, i + 5, tp))
             except Exception:
                 pass
@@ -223,19 +253,19 @@ def _expression_candidates(tokens: list[Token]) -> list[tuple[int, int, TimePoin
         # MM/DD/YYYY written without spaces
         if (
             digit and i + 4 < n
-            and _ONE_OR_TWO_DIGITS_RE.match(t)
             and texts[i + 1] == "/" and texts[i + 3] == "/"
+            and _ONE_OR_TWO_DIGITS_RE.match(t)
             and _ONE_OR_TWO_DIGITS_RE.match(texts[i + 2]) and _YEAR_RE.match(texts[i + 4])
-            and all(_adjacent(tokens, k, k + 1) for k in range(i, i + 4))
+            and all(ends[k] == starts[k + 1] for k in range(i, i + 4))  # written without spaces
         ):
             try:
-                tp = TimePoint(int(texts[i + 4]), int(t), int(texts[i + 2]), granularity=Granularity.DAY)
+                tp = _time_point(int(texts[i + 4]), int(t), int(texts[i + 2]), granularity=Granularity.DAY)
                 out.append((i, i + 5, tp))
             except Exception:
                 pass
 
         # Month name [day] [,] [year] / month name "of" year
-        month = None if digit else _is_month(t)
+        month = _MONTHS.get(lowered[i]) if t[0].isupper() else None
         if month is not None:
             j = i + 1
             day = None
@@ -248,9 +278,9 @@ def _expression_candidates(tokens: list[Token]) -> list[tuple[int, int, TimePoin
                 year = int(texts[k])
                 try:
                     if day is not None:
-                        out.append((i, k + 1, TimePoint(year, month, day, granularity=Granularity.DAY)))
+                        out.append((i, k + 1, _time_point(year, month, day, granularity=Granularity.DAY)))
                     else:
-                        out.append((i, k + 1, TimePoint(year, month, granularity=Granularity.MONTH)))
+                        out.append((i, k + 1, _time_point(year, month, granularity=Granularity.MONTH)))
                 except Exception:
                     pass
             elif day is not None:
@@ -259,34 +289,34 @@ def _expression_candidates(tokens: list[Token]) -> list[tuple[int, int, TimePoin
 
         # Decades: "1990s", "the 1990s", "the '90s"
         if digit and _DECADE_RE.match(t):
-            start = i - 1 if i > 0 and texts[i - 1].lower() == "the" else i
-            out.append((start, i + 1, TimePoint(int(t[:-1]), granularity=Granularity.DECADE)))
+            start = i - 1 if i > 0 and lowered[i - 1] == "the" else i
+            out.append((start, i + 1, _time_point(int(t[:-1]), granularity=Granularity.DECADE)))
         if digit and _SHORT_DECADE_RE.match(t) and i > 0 and texts[i - 1] in {"'", "’"}:
-            start = i - 2 if i > 1 and texts[i - 2].lower() == "the" else i - 1
+            start = i - 2 if i > 1 and lowered[i - 2] == "the" else i - 1
             out.append((start, i + 1, None))  # century unknown
 
         # Bare 4-digit year 1000-2999
         if digit and _YEAR_RE.match(t):
-            out.append((i, i + 1, TimePoint(int(t), granularity=Granularity.YEAR)))
+            out.append((i, i + 1, _time_point(int(t), granularity=Granularity.YEAR)))
 
         # Season + year ("summer 2006", "Winter of 1999")
-        if not digit and t.lower() in _SEASONS:
+        if not digit and lowered[i] in _SEASONS:
             j = i + 1
             if j < n and texts[j] == "of":
                 j += 1
             if j < n and _YEAR_RE.match(texts[j]):
-                out.append((i, j + 1, TimePoint(int(texts[j]), granularity=Granularity.YEAR)))
+                out.append((i, j + 1, _time_point(int(texts[j]), granularity=Granularity.YEAR)))
 
         # early/mid/late + year or decade, optionally hyphenated or "the"-marked
-        if not digit and t.lower() in _EDGE_MODIFIERS:
+        if not digit and lowered[i] in _EDGE_MODIFIERS:
             j = i + 1
             if j < n and texts[j] in {"-", "the"}:
                 j += 1
             if j < n:
                 if _DECADE_RE.match(texts[j]):
-                    out.append((i, j + 1, TimePoint(int(texts[j][:-1]), granularity=Granularity.DECADE)))
+                    out.append((i, j + 1, _time_point(int(texts[j][:-1]), granularity=Granularity.DECADE)))
                 elif _YEAR_RE.match(texts[j]):
-                    out.append((i, j + 1, TimePoint(int(texts[j]), granularity=Granularity.YEAR)))
+                    out.append((i, j + 1, _time_point(int(texts[j]), granularity=Granularity.YEAR)))
     return out
 
 
@@ -295,7 +325,7 @@ def _select_nonoverlapping(cands: list[tuple[int, int, TimePoint | None]]) -> li
     taken: list[tuple[int, int, TimePoint | None]] = []
     covered: set[int] = set()
     for start, end, norm in sorted(cands, key=lambda c: (-(c[1] - c[0]), c[0])):
-        if any(p in covered for p in range(start, end)):
+        if not covered.isdisjoint(range(start, end)):
             continue
         taken.append((start, end, norm))
         covered.update(range(start, end))
@@ -303,18 +333,18 @@ def _select_nonoverlapping(cands: list[tuple[int, int, TimePoint | None]]) -> li
     return taken
 
 
-def _surface(text: str, tokens: list[Token], start: int, end: int) -> str:
-    return sys.intern(text[tokens[start].char_start : tokens[end - 1].char_end])
+def _surface(text: str, cols: _Columns, start: int, end: int) -> str:
+    return sys.intern(text[cols.starts[start] : cols.ends[end - 1]])
 
 
 def tag_temporal_expressions(tokens: list[Token], text: str) -> list[Span]:
     """Non-overlapping temporal-expression spans from the pattern inventory."""
-    spans = []
-    for start, end, norm in _select_nonoverlapping(_expression_candidates(tokens)):
-        spans.append(
-            Span(SpanKind.TEMPORAL_EXPRESSION, start, end, _surface(text, tokens, start, end), normalized=norm)
-        )
-    return spans
+    return _expressions(_token_columns(tokens), text)
+
+
+def _expressions(cols: _Columns, text: str) -> list[Span]:
+    return [Span(SpanKind.TEMPORAL_EXPRESSION, start, end, _surface(text, cols, start, end), normalized=norm)
+            for start, end, norm in _select_nonoverlapping(_expression_candidates(cols))]
 
 
 def tag_temporal_signals(
@@ -329,8 +359,11 @@ def tag_temporal_signals(
     context-restricted prepositions are tagged only when the token right
     after them opens a temporal expression.
     """
-    if expressions is None:
-        expressions = tag_temporal_expressions(tokens, text)
+    cols = _token_columns(tokens, lexicon.phrase_heads)
+    return _signals(cols, lexicon, text, _expressions(cols, text) if expressions is None else expressions)
+
+
+def _signals(cols: _Columns, lexicon: SignalLexicon, text: str, expressions: list[Span]) -> list[Span]:
     in_expression = set()
     expression_starts = set()
     for s in expressions:
@@ -338,21 +371,20 @@ def tag_temporal_signals(
         expression_starts.add(s.token_start)
 
     spans: list[Span] = []
-    n = len(tokens)
-    max_len = lexicon.max_phrase_len
-    lowered = [t.text.lower() for t in tokens]
-    first_words = {key[0] for key in lexicon.entries if key}
+    lowered = cols.lowered
+    n = len(lowered)
+    longest = lexicon.phrase_heads
     resume = 0  # the first token after the last match
-    for i in [i for i, word in enumerate(lowered) if word in first_words]:
+    for i in cols.heads:
         if i < resume:
             continue
         matched = None
-        for length in range(min(max_len, n - i), 0, -1):
+        for length in range(min(longest[lowered[i]], n - i), 0, -1):
             key = tuple(lowered[i : i + length])
             relation = lexicon.entries.get(key)
             if relation is None:
                 continue
-            if any((i + k) in in_expression for k in range(length)):
+            if not in_expression.isdisjoint(range(i, i + length)):
                 continue
             if lexicon.is_restricted(key) and (i + length) not in expression_starts:
                 continue
@@ -361,24 +393,22 @@ def tag_temporal_signals(
         if matched:
             length, relation = matched
             spans.append(
-                Span(SpanKind.TEMPORAL_SIGNAL, i, i + length, _surface(text, tokens, i, i + length), relation=relation)
+                Span(SpanKind.TEMPORAL_SIGNAL, i, i + length, _surface(text, cols, i, i + length), relation=relation)
             )
             resume = i + length
     return spans
 
 
-def _namelike_elements(tokens: list[Token], i: int) -> int:
+def _namelike_elements(cols: _Columns, i: int) -> int:
     """Length in tokens of the namelike element starting at ``i`` (0 if none)."""
-    t = tokens[i].text
+    t = cols.texts[i]
     if not t[0].isupper():
         return 0
     if _CAP_WORD_RE.match(t):
-        if t in _CAP_STOPWORDS or t.lower() in _MONTHS or t.lower() in _SEASONS or t.lower() in _WEEKDAYS:
-            return 0
-        return 1
+        return 0 if t in _CAP_STOPWORDS or cols.lowered[i] in _NOT_NAMES else 1
     if _INITIALISM_RE.match(t):
         return 1
-    if len(t) == 1 and t.isupper() and i + 1 < len(tokens) and tokens[i + 1].text == ".":
+    if len(t) == 1 and t.isupper() and i + 1 < len(cols.texts) and cols.texts[i + 1] == ".":
         return 2  # an initial like "J."
     return 0
 
@@ -390,34 +420,37 @@ def tag_persons_heuristic(tokens: list[Token], text: str, blocked: set[int] | No
     capitalized name-like tokens ("Tupac Shakur"); single bare surnames are
     left to external annotation.
     """
-    blocked = blocked or set()
+    return _persons(_token_columns(tokens), text, blocked or set())
+
+
+def _persons(cols: _Columns, text: str, blocked: set[int]) -> list[Span]:
+    texts = cols.texts
     spans: list[Span] = []
-    n = len(tokens)
+    n = len(texts)
     resume = 0  # the first token after the last span
-    # honorifics and name-like elements are capitalized
-    for i in [i for i, t in enumerate(tokens) if t.text[0].isupper() and i not in blocked]:
-        if i < resume:
+    for i in cols.caps:  # honorifics and name-like elements are capitalized
+        if i < resume or i in blocked:
             continue
         start = None
         j = i
-        honorific = tokens[i].text.rstrip(".").lower() in HONORIFICS
+        honorific = cols.lowered[i].rstrip(".") in HONORIFICS
         if honorific:
             start = i
             j = i + 1
-            if j < n and tokens[j].text == ".":
+            if j < n and texts[j] == ".":
                 j += 1
         run_start = j
         while j < n and j not in blocked:
-            step = _namelike_elements(tokens, j)
+            step = _namelike_elements(cols, j)
             if step == 0:
                 break
             j += step
         run_len = j - run_start
         if honorific and run_len >= 1:
-            spans.append(Span(SpanKind.PERSON, start, j, _surface(text, tokens, start, j)))
+            spans.append(Span(SpanKind.PERSON, start, j, _surface(text, cols, start, j)))
             resume = j
         elif not honorific and run_len >= 2:
-            spans.append(Span(SpanKind.PERSON, run_start, j, _surface(text, tokens, run_start, j)))
+            spans.append(Span(SpanKind.PERSON, run_start, j, _surface(text, cols, run_start, j)))
             resume = j
     return spans
 
@@ -426,6 +459,10 @@ def tag_persons_external(
     tokens: list[Token], annotations: list[tuple[int, int, str]], text: str
 ) -> list[Span]:
     """Snap character-offset person annotations to covering tokens."""
+    return _persons_external(_token_columns(tokens), annotations, text)
+
+
+def _persons_external(cols: _Columns, annotations: list[tuple[int, int, str]], text: str) -> list[Span]:
     spans: list[Span] = []
     covered: set[int] = set()
     for char_start, char_end, _surface_text in sorted(annotations):
@@ -433,36 +470,26 @@ def tag_persons_external(
             raise AnnotationAlignmentError(
                 f"person span [{char_start}, {char_end}) outside text of length {len(text)}"
             )
-        idx = [
-            k for k, t in enumerate(tokens)
-            if t.char_end > char_start and t.char_start < char_end
-        ]
-        if not idx:
+        # tokens are ordered and disjoint: the first ending after the span's start to the last starting before its end
+        start, end = bisect_right(cols.ends, char_start), bisect_left(cols.starts, char_end)
+        if start >= end:
             raise AnnotationAlignmentError(
                 f"person span [{char_start}, {char_end}) covers no tokens"
             )
-        start, end = idx[0], idx[-1] + 1
-        if any(k in covered for k in range(start, end)):
+        if not covered.isdisjoint(range(start, end)):
             continue
         covered.update(range(start, end))
-        spans.append(Span(SpanKind.PERSON, start, end, _surface(text, tokens, start, end)))
+        spans.append(Span(SpanKind.PERSON, start, end, _surface(text, cols, start, end)))
     return spans
 
 
-def annotate_persons(
-    tokens: list[Token],
-    external: list[tuple[int, int, str]] | None,
-    text: str,
-    blocked: set[int] | None = None,
-) -> list[Span]:
-    """Person spans, from external annotations when given, else heuristic."""
-    if external is not None:
-        return tag_persons_external(tokens, external, text)
-    return tag_persons_heuristic(tokens, text, blocked)
+def _sentence_of(span: Span, bounds: list[tuple[int, int]], sentence_starts: list[int]) -> int:
+    """The index of the sentence holding ``span``, or -1; ``bounds`` ascend without overlap."""
+    k = bisect_right(sentence_starts, span.token_start) - 1
+    return k if k >= 0 and span.token_end <= bounds[k][1] else -1
 
 
-def _within_one_sentence(span: Span, bounds: list[tuple[int, int]]) -> bool:
-    return any(s <= span.token_start and span.token_end <= e for s, e in bounds)
+_default_lexicon = functools.cache(SignalLexicon.default)
 
 
 def annotate_document(
@@ -472,30 +499,29 @@ def annotate_document(
     persons: list[tuple[int, int, str]] | None = None,
     lexicon: SignalLexicon | None = None,
 ) -> AnnotatedDocument:
-    """Run tokenization, sentence splitting, and all three taggers.
+    """Tokenization, sentence splitting and all three taggers, in one pass over the token columns.
 
-    ``persons=None`` selects the heuristic tagger; a (possibly empty) list
-    selects external mode. Spans crossing sentence bounds are discarded.
+    Equals the public functions composed: ``tokenize_raw``, ``split_sentences``, expressions, signals
+    that avoid them, then persons that touch neither (``persons=None`` selects the heuristic tagger, a
+    possibly empty list external mode); spans crossing sentence bounds are discarded, the rest sorted.
     """
     timestamp = parse_timestamp(timestamp_text)
-    lexicon = lexicon or SignalLexicon.default()
-    tokens = tokenize_raw(text)
-    bounds = split_sentences(tokens)
-    expressions = tag_temporal_expressions(tokens, text)
-    signals = tag_temporal_signals(tokens, lexicon, text, expressions)
+    lexicon = lexicon or _default_lexicon()
+    found = list(_TOKEN_RE.finditer(text))
+    cols = _columns(list(map(sys.intern, map(re.Match.group, found))),
+                    array("q", map(re.Match.start, found)), array("q", map(re.Match.end, found)), lexicon.phrase_heads)
+    bounds = _sentence_bounds(cols)
+    expressions = _expressions(cols, text)
+    signals = _signals(cols, lexicon, text, expressions)
     blocked = set()
     for s in expressions + signals:
         blocked.update(range(s.token_start, s.token_end))
-    person_spans = annotate_persons(tokens, persons, text, blocked)
-    person_spans = [
-        p for p in person_spans
-        if not any(k in blocked for k in range(p.token_start, p.token_end))
-    ]
+    person_spans = _persons(cols, text, blocked) if persons is None else _persons_external(cols, persons, text)
+    sentence_starts = [s for s, _ in bounds]
     spans = [
         s for s in expressions + signals + person_spans
-        if _within_one_sentence(s, bounds)
+        if _sentence_of(s, bounds, sentence_starts) >= 0
+        and (s.kind is not SpanKind.PERSON or blocked.isdisjoint(range(s.token_start, s.token_end)))
     ]
-    spans.sort(key=lambda s: (s.token_start, s.kind.value))
-    return AnnotatedDocument(doc_id, timestamp, text, [sys.intern(t.text) for t in tokens],
-                             array("q", [t.char_start for t in tokens]), array("q", [t.char_end for t in tokens]),
-                             spans, bounds)
+    spans.sort(key=attrgetter("token_start", "kind"))  # kinds compare as their string values
+    return AnnotatedDocument(doc_id, timestamp, text, cols.texts, cols.starts, cols.ends, spans, bounds)

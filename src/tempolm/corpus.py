@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .annotate import AnnotatedDocument, Span, SpanKind
+from .annotate import AnnotatedDocument, Span, SpanKind, _sentence_of
 from .errors import ConfigError, ParseError, TimestampParseError
 from .lexicon import Relation
 from .manifest import jsonl_line, read_json, read_jsonl, read_lines, write_atomic
@@ -128,6 +128,8 @@ def record_to_document(rec: dict) -> AnnotatedDocument:
         sentence_bounds = []
         for start, end in rec["sentences"]:
             _check_range(start, end, n_tokens)
+            if sentence_bounds and start < sentence_bounds[-1][1]:  # refine locates spans by bisection
+                raise ValueError(f"sentence [{start}, {end}] overlaps or precedes the one before it")
             sentence_bounds.append((start, end))
     except TimestampParseError as exc:  # the record's timestamp or a span's normalization
         what = "timestamp" if part == "timestamp" else "normalized"
@@ -164,19 +166,20 @@ def read_documents(path: str | Path) -> Iterator[AnnotatedDocument]:
 def refine_document(doc: AnnotatedDocument) -> AnnotatedDocument | None:
     """Keep only sentences with at least one temporal expression.
 
-    Returns None when no sentence survives. Token char offsets keep pointing
-    into the original text; token indices and spans are re-based. Applying
-    the refinement twice equals applying it once.
+    Returns None when no sentence survives, and ``doc`` itself when every
+    sentence survives and the sentences hold every token. Token char offsets
+    keep pointing into the original text; token indices and spans are
+    re-based. Applying the refinement twice equals applying it once.
     """
-    keep = []
-    for (s, e) in doc.sentence_bounds:
-        if any(
-            sp.kind is SpanKind.TEMPORAL_EXPRESSION and s <= sp.token_start and sp.token_end <= e
-            for sp in doc.spans
-        ):
-            keep.append((s, e))
-    if not keep:
+    sentences = doc.sentence_bounds
+    sentence_starts = [s for s, _ in sentences]
+    dated = {_sentence_of(sp, sentences, sentence_starts)
+             for sp in doc.spans if sp.kind is SpanKind.TEMPORAL_EXPRESSION} - {-1}
+    if not dated:
         return None
+    if len(dated) == len(sentences) and sum(e - s for s, e in sentences) == len(doc.token_texts):
+        return doc
+    keep = [sentences[k] for k in sorted(dated)]
 
     new_index: dict[int, int] = {}
     texts: list[str] = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 from .errors import NotInLexiconError, ParseError
@@ -46,7 +47,7 @@ CONTEXT_RESTRICTED: frozenset[str] = frozenset({"in", "on", "at", "by", "from"})
 
 @dataclass
 class SignalLexicon:
-    """Phrase -> relation map with longest-phrase matching support."""
+    """Phrase -> relation map with longest-phrase matching support; change ``entries`` through ``add``."""
 
     entries: dict[tuple[str, ...], Relation] = field(default_factory=dict)
     restricted: frozenset[str] = CONTEXT_RESTRICTED
@@ -55,11 +56,17 @@ class SignalLexicon:
     def max_phrase_len(self) -> int:
         return max((len(k) for k in self.entries), default=0)
 
+    @cached_property
+    def phrase_heads(self) -> dict[str, int]:
+        """Each phrase's first word, to the length of the longest phrase it starts; computed once after ``add``."""
+        return {key[0]: len(key) for key in sorted(self.entries, key=len) if key}
+
     def add(self, phrase: str, relation: Relation) -> None:
         key = tuple(phrase.lower().split())
         if not key:
             raise ParseError("empty lexicon phrase")
         self.entries[key] = relation
+        vars(self).pop("phrase_heads", None)
 
     def classify(self, phrase: str) -> Relation:
         """Relation class of a known phrase; raises on unknown phrases."""

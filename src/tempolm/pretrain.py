@@ -111,8 +111,8 @@ def pack_loss(
             repl_weights.append(1.0 / (len(ex.replacement_targets) * n_eff))
     firsts = [a for a, _ in spans]
     lasts = [b for _, b in spans]
-    # only the rows some head reads; head positions become indices into them
-    read = np.unique(np.asarray(mlm_rows + dd_rows + firsts + lasts, dtype=np.int64))
+    # only the rows some head reads, sorted (np.unique would import numpy.ma); head positions index them
+    read = np.asarray(sorted({*mlm_rows, *dd_rows, *firsts, *lasts}), dtype=np.int64)
     hidden = encode_forward(np.asarray(ids, dtype=np.int64), config, pvars,
                             segments=[len(ex.input_ids) for ex in pack], rows=read)
 

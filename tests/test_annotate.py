@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +13,7 @@ from tempolm.annotate import (
     tag_temporal_signals,
     tokenize_raw,
 )
+from tempolm.corpus import document_to_record, refine_document
 from tempolm.errors import AnnotationAlignmentError, NotInLexiconError, TimestampParseError
 from tempolm.lexicon import Relation, SignalLexicon
 from tempolm.timescale import Granularity
@@ -293,3 +297,113 @@ def test_spans_confined_to_sentences():
     doc = annotate_document("d", "2007-05-04", text)
     for s in doc.spans:
         assert any(a <= s.token_start and s.token_end <= b for a, b in doc.sentence_bounds)
+
+
+# Hand-written documents that reach every tagger and splitter branch: both date layouts (and
+# impossible dates), month phrases, decades, seasons, edge modifiers, restricted and multi-word
+# signals, honorifics, initialisms and initials, abbreviations, closers after terminal
+# punctuation, curly quotes, non-ASCII capitals and digits, and empty text.
+_COVERAGE_DOCS = [
+    ("c01", "2007-05-04", "The deal closed on 2007-05-04 in Paris. A bad date, 2007-13-45, was ignored. "
+                          "Nothing else happened that week."),
+    ("c02", "1999-12-31", "Filed 5/4/2007 and again on 12/25/1999! Was 13/45/2001 a typo? "
+                          "Smith Jones said 1/2/3 was not a date."),
+    ("c03", "2007-06-01", "On May 4, 2007 the band played. They returned May 4th 2007 and on May 4. "
+                          "In January of 1999 it rained, and by March 2005 it dried. Sept 31, 2001 never came."),
+    ("c04", "2001-01-01", "Music of the 1990s and the 1980s faded. The '90s and the ’70s were loud; "
+                          "'60s songs lasted. Prices rose in the 2000s."),
+    ("c05", "2006-09-01", "In summer of 2006 and Winter 1999 we met. The autumn 2001 storms, the fall of 2004, "
+                          "and spring were mild."),
+    ("c06", "1995-03-03", "It grew in the mid-1980s, early 2006 and late the 1990s. Sales dipped in the "
+                          "early-2000 slump and mid 1999. Late 1990s growth followed."),
+    ("c07", "2008-02-02", "We stayed in the house. We left in 2006, by May 2007, from 1999 and at 5/4/2007. "
+                          "The talks went on and on until 2001."),
+    ("c08", "2003-04-05", "Prior to the 1990s and prior to May it was calm. It lasted throughout 2002, "
+                          "amid 1998 and since 1997. Following 2003, they were before them."),
+    ("c09", "2010-10-10", "Mr. Smith met Dr Jones and President Barack Obama. Judge Judy Sheindlin, Sen. "
+                          "Ted Kennedy and Mrs. Clinton spoke in 2010."),
+    ("c10", "1954-07-29", "J.R.R. Tolkien and George W. Bush met J. K. Rowling. U.S. officials and "
+                          "Notorious B.I.G. came in 1954."),
+    ("c11", "1977-08-16", "Gen. Lee left Acme Inc. on Monday. St. Louis beat Smith vs. Jones in 1977. "
+                          "Dr. No. 5 was filmed e.g. in Jan. 1962 or so."),
+    ("c12", "1999-01-01", "He said \"it ended in 1999.\" Then he left. (See 2001.) The end came in 2002! "
+                          "“Bye in 2003.” She left in 2004. ‘It was 2005?’ Maybe."),
+    ("c13", "2002-02-02", "Émile Zola wrote in Été 2002. ٣/4/2007 was written in "
+                          "Arabic digits. É. Smith met Anna Karenina."),
+    ("c14", "2005-05-05", "No dates here at all. Just Tupac Shakur singing. And nothing more."),
+    ("c15", "2011-11-11", "Monday Smith and Winter Jones met The Beatles in March. Before 2011, John F. "
+                          "Kennedy met Mr. John Smith Jones."),
+    ("c16", "1985-06-15", "During the 1985 tour, after 1984 and until 1986, they played. by 1980 no. "
+                          "4 they were done. see? 1987 was next."),
+    ("c17", "2000-01-01", ""),
+    ("c18", "2004-04-04", "   \n\t  "),
+]
+# external person annotations (character offsets), one of them overlapping another
+_COVERAGE_PERSONS = {
+    "c09": [[0, 9, "Mr. Smith"], [14, 22, "Dr Jones"], [14, 17, "Dr "]],
+    "c14": [[24, 36, "Tupac Shakur"]],
+    "c16": [],
+}
+# the default lexicon plus longer, overlapping, sentence-crossing and punctuation phrases
+_EXTRA_PHRASES = [("in the wake of", "AFTER"), ("as of", "OVERLAP"), ("no", "BEFORE"), ("the end of", "BEFORE"),
+                  ("of", "AFTER"), (".", "OVERLAP"), ("he left . (", "AFTER")]
+
+
+def _custom_lexicon():
+    lex = SignalLexicon.default()
+    for phrase, relation in _EXTRA_PHRASES:
+        lex.add(phrase, Relation(relation))
+    return lex
+
+
+def test_pattern_coverage_bytes_are_pinned():
+    """Annotated and refined records of the coverage documents, in heuristic and external person
+    mode and under both lexicons, keep the bytes the annotator wrote before it read token columns."""
+    lines = []
+    for lex in (None, _custom_lexicon()):
+        for doc_id, timestamp, text in _COVERAGE_DOCS:
+            for persons in [None] + ([_COVERAGE_PERSONS[doc_id]] if doc_id in _COVERAGE_PERSONS else []):
+                doc = annotate_document(doc_id, timestamp, text, persons=persons, lexicon=lex)
+                for d in (doc, refine_document(doc)):
+                    lines.append(json.dumps(document_to_record(d), sort_keys=True, ensure_ascii=False) if d else "null")
+    digest = hashlib.sha256("".join(line + "\n" for line in lines).encode("utf-8")).hexdigest()
+    assert (len(lines), digest) == (84, "33d12b4ce624e1c10684a786d1feb06075208a1eec5b420e92b4672356e3cc44")
+
+
+def _composed(text, lexicon):
+    """The spans ``annotate_document`` documents, composed from the public taggers."""
+    tokens = tokenize_raw(text)
+    bounds = split_sentences(tokens)
+    expressions = tag_temporal_expressions(tokens, text)
+    signals = tag_temporal_signals(tokens, lexicon, text, expressions)
+    blocked = {k for s in expressions + signals for k in range(s.token_start, s.token_end)}
+    persons = [p for p in tag_persons_heuristic(tokens, text, blocked)
+               if not blocked & set(range(p.token_start, p.token_end))]
+    spans = [s for s in expressions + signals + persons
+             if any(a <= s.token_start and s.token_end <= b for a, b in bounds)]
+    return sorted(spans, key=lambda s: (s.token_start, s.kind.value))
+
+
+# pieces of every pattern, glued with or without a separator, so dates, decades and initials form
+_PATTERN_TEXTS = st.lists(
+    st.tuples(
+        st.sampled_from([
+            "2007", "-", "05", "04", "13", "/", "5", "12", "25", "1999", "٣", "May", "4", "4th", ",",
+            "January", "Sept", "of", "the", "The", "1990s", "'", "’", "90s", "summer", "Winter", "fall", "mid",
+            "early", "Late", "in", "on", "by", "at", "from", "prior", "to", "during", "Before", "no", ".", "!", "?",
+            '"', "“", "”", "(", ")", "Mr", "Dr", "President", "Judge", "J", "K", "W", "J.R.R.", "U.S.",
+            "e.g.", "Gen", "Inc", "St", "vs", "Smith", "Tupac", "Shakur", "Monday", "É", "war", "he",
+        ]),
+        st.sampled_from(["", " ", " ", "\n"]),
+    ),
+    max_size=40,
+).map(lambda pieces: "".join(word + sep for word, sep in pieces))
+
+
+@given(_PATTERN_TEXTS, st.booleans())
+def test_annotation_equals_the_public_functions_composed(text, custom):
+    lexicon = _custom_lexicon() if custom else SignalLexicon.default()
+    doc = annotate_document("d", "2001-02-03", text, lexicon=lexicon)
+    assert doc.tokens == tokenize_raw(text)
+    assert doc.sentence_bounds == split_sentences(tokenize_raw(text))
+    assert doc.spans == _composed(text, lexicon)

@@ -262,6 +262,34 @@ def test_loading_every_tempolm_module_leaves_scipy_unimported():
     assert scipy_loaded == "False"
 
 
+def test_a_pretrain_step_leaves_numpy_ma_and_scipy_unimported():
+    """``np.unique`` imports ``numpy.ma`` on first use; a training process does without both."""
+    script = (
+        "import sys\n"
+        "from tempolm.annotate import annotate_document\n"
+        "from tempolm.corpus import build_entity_calendar, derive_corpus_span, refine_corpus\n"
+        "from tempolm.encoder import EncoderConfig\n"
+        "from tempolm.objectives import Objective\n"
+        "from tempolm.pretrain import PretrainSettings, pretrain\n"
+        "from tempolm.synth import generate_corpus\n"
+        "from tempolm.timescale import Granularity\n"
+        "from tempolm.vocab import build_vocab\n"
+        "records = generate_corpus(20, start_year=1999, end_year=2002, seed=2)\n"
+        "docs = list(refine_corpus(annotate_document(r['id'], r['timestamp'], r['text']) for r in records))\n"
+        "span = derive_corpus_span(docs)\n"
+        "vocab = build_vocab([r['text'] for r in records], target_size=256)\n"
+        "config = EncoderConfig(layers=1, hidden_dim=16, heads=2, ffn_dim=24, max_len=32, vocab_size=vocab.size,\n"
+        "                       dd_classes=span.class_count(Granularity.MONTH), seed=5)\n"
+        "settings = PretrainSettings(objectives=frozenset(Objective), seed=1, steps=1, batch_size=4, lr=1e-3)\n"
+        "_, _, logs = pretrain(docs, vocab, config, settings, span=span, calendar=build_entity_calendar(docs))\n"
+        "print(len(logs), 'numpy.ma' in sys.modules, 'scipy' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "False", "False"]
+
+
 # NumPy generator constructors, and ``int.from_bytes``, the step that turns a digest into a seed
 _SEEDING = {"Generator", "PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64", "SeedSequence", "RandomState",
             "default_rng", "from_bytes"}

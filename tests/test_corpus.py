@@ -56,6 +56,15 @@ def test_refine_identity_when_all_sentences_dated():
     assert [t.text for t in refined.tokens] == [t.text for t in doc.tokens]
 
 
+def test_refine_returns_a_fully_dated_document_itself_and_rebuilds_one_with_a_gap():
+    doc = make_doc(text="Before 2006 he quit. In 1999 he returned.")
+    assert refine_document(doc) is doc
+    gap = record_to_document({**document_to_record(doc), "sentences": [[0, 4], [6, 10]]})
+    refined = refine_document(gap)
+    assert refined is not gap and refined.sentence_bounds == [(0, 4), (4, 8)]
+    assert refined.token_texts == doc.token_texts[:4] + doc.token_texts[6:]
+
+
 def test_refine_idempotent():
     doc = make_doc()
     once = refine_document(doc)
@@ -173,6 +182,12 @@ def test_bad_token_record_raises_parse_error(rec, message):
     with pytest.raises(ParseError) as err:
         record_to_document(rec)
     assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize("sentences", [[[0, 7], [6, 10]], [[7, 10], [0, 7]]])
+def test_record_with_overlapping_or_unordered_sentences_raises_parse_error(sentences):
+    with pytest.raises(ParseError, match="bad field 'sentences' in annotated record: sentence"):
+        record_to_document({**_GOOD, "sentences": sentences})
 
 
 def test_documents_and_examples_survive_pickle():
