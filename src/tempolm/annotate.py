@@ -182,6 +182,11 @@ def tokenize_raw(text: str) -> list[Token]:
     return [Token(m.group(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
 
 
+def tokenize_words(text: str) -> list[str]:
+    """The token texts of ``tokenize_raw``, without offsets."""
+    return _TOKEN_RE.findall(text)
+
+
 def split_sentences(tokens: list[Token]) -> list[tuple[int, int]]:
     """Sentence intervals over token indices.
 
@@ -453,13 +458,6 @@ def _persons(cols: _Columns, text: str, blocked: set[int]) -> list[Span]:
             spans.append(Span(SpanKind.PERSON, run_start, j, _surface(text, cols, run_start, j)))
             resume = j
     return spans
-
-
-def tag_persons_external(
-    tokens: list[Token], annotations: list[tuple[int, int, str]], text: str
-) -> list[Span]:
-    """Snap character-offset person annotations to covering tokens."""
-    return _persons_external(_token_columns(tokens), annotations, text)
 
 
 def _persons_external(cols: _Columns, annotations: list[tuple[int, int, str]], text: str) -> list[Span]:

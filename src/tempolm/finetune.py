@@ -15,6 +15,7 @@ from itertools import product
 import numpy as np
 
 from . import autodiff as ad
+from .annotate import tokenize_words
 from .autodiff import Var
 from .checkpoint import EncoderCheckpoint
 from .encoder import EncoderConfig, Params, encode_forward, pack_sequences, wrap_params
@@ -55,13 +56,9 @@ DEFAULT_GRID: tuple[tuple[int, float, int], ...] = tuple(
 
 
 def instance_ids(vocab: Vocabulary, text: str, max_len: int) -> list[int]:
-    from .annotate import tokenize_raw
-
-    ids = [vocab.cls_id]
-    for tok in tokenize_raw(text):
-        ids.extend(vocab.encode_word(tok.text))
-    ids.append(vocab.sep_id)
-    return ids[:max_len]
+    """[CLS], the subwords of the text's tokens and [SEP], cut to ``max_len``."""
+    ids, _ = vocab.encode_words(tokenize_words(text))
+    return [vocab.cls_id, *ids, vocab.sep_id][:max_len]
 
 
 @dataclass

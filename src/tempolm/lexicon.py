@@ -52,10 +52,6 @@ class SignalLexicon:
     entries: dict[tuple[str, ...], Relation] = field(default_factory=dict)
     restricted: frozenset[str] = CONTEXT_RESTRICTED
 
-    @property
-    def max_phrase_len(self) -> int:
-        return max((len(k) for k in self.entries), default=0)
-
     @cached_property
     def phrase_heads(self) -> dict[str, int]:
         """Each phrase's first word, to the length of the longest phrase it starts; computed once after ``add``."""

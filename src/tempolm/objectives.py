@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .annotate import AnnotatedDocument, Span, SpanKind, tokenize_raw
+from .annotate import AnnotatedDocument, Span, SpanKind, tokenize_words
 from .corpus import EntityCalendar
 from .errors import CalendarMissError, ConfigError
 from .lexicon import Relation, SignalLexicon
@@ -139,28 +139,25 @@ class SubwordView:
     """A document's surface tokens encoded to subwords, spans re-mapped."""
 
     doc: AnnotatedDocument
-    vocab: Vocabulary
-    pieces: list[list[int]] = field(default_factory=list)
-    starts: list[int] = field(default_factory=list)
-    n_content: int = 0
+    ids: list[int]     # the tokens' subwords, one token after another
+    starts: list[int]  # where each token's subwords start in ``ids``, the end last
 
     @staticmethod
     def build(doc: AnnotatedDocument, vocab: Vocabulary) -> "SubwordView":
-        view = SubwordView(doc, vocab)
-        pos = 0
-        for text in doc.token_texts:
-            ids = vocab.encode_word(text)
-            view.pieces.append(ids)
-            view.starts.append(pos)
-            pos += len(ids)
-        view.n_content = pos
-        return view
+        return SubwordView(doc, *vocab.encode_words(doc.token_texts))
+
+    @property
+    def n_content(self) -> int:
+        return len(self.ids)
+
+    @property
+    def pieces(self) -> list[list[int]]:
+        """Each token's subwords, built on each access."""
+        return [self.ids[a:b] for a, b in zip(self.starts, self.starts[1:])]
 
     def span_range(self, span: Span) -> tuple[int, int]:
         """Subword [start, end) of a token span, pre-replacement coordinates."""
-        start = self.starts[span.token_start]
-        last = span.token_end - 1
-        return start, self.starts[last] + len(self.pieces[last])
+        return self.starts[span.token_start], self.starts[span.token_end]
 
 
 def _choose_spans(spans: list[Span], rate: float, rng: np.random.Generator) -> list[Span]:
@@ -371,37 +368,32 @@ def build_training_example(
     span_at = {(s.token_start, s.surface): s for s in reversed(doc.spans)}
     replaced = {d.token_index: d for d in targets if d.label}
 
-    # rebuild the subword sequence with replacements; ``at`` is where each
-    # surface token, and the end, lands in it
+    # rebuild the subword sequence with replacements, copying the tokens
+    # between replaced spans unchanged; ``at`` is where each surface token,
+    # and the end, lands in it, ``old_to_new`` where each copied subword does
+    starts, n = view.starts, len(view.starts) - 1
     new_ids: list[int] = []
-    old_to_new: dict[int, int] = {}
-    at = [0] * (len(view.pieces) + 1)
-    pos = resume = 0
-    for i, piece in enumerate(view.pieces):
-        if i < resume:
-            continue
-        at[i] = pos
-        d = replaced.get(i)
-        if d is None:
-            base = view.starts[i]
-            for _ in piece:
-                old_to_new[base] = pos
-                base += 1
-                pos += 1
-            new_ids += piece
-        else:
-            for tok in tokenize_raw(d.replacement_surface):
-                new_ids += vocab.encode_word(tok.text)
-            pos = len(new_ids)
-            resume = span_at[(i, d.surface)].token_end
-    at[-1] = pos
+    old_to_new = [-1] * view.n_content
+    at = [0] * (n + 1)
+    i = 0
+    for j in [*sorted(replaced), n]:
+        a, b = starts[i], starts[j]
+        shift = len(new_ids) - a
+        at[i:j] = [s + shift for s in starts[i:j]]
+        old_to_new[a:b] = range(a + shift, b + shift)
+        new_ids += view.ids[a:b]
+        at[j] = len(new_ids)
+        if j < n:
+            d = replaced[j]
+            new_ids += vocab.encode_words(tokenize_words(d.replacement_surface))[0]
+            i = span_at[(j, d.surface)].token_end
 
     offset = 1  # [CLS]
     input_ids = [vocab.cls_id] + new_ids + [vocab.sep_id]
     actions = {
         old_to_new[d.position] + offset: d.action
         for d in decisions
-        if d.position in old_to_new
+        if old_to_new[d.position] >= 0
     }
     input_ids, mlm_targets = apply_mask_policy(input_ids, actions, vocab, rng)
 

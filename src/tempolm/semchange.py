@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .annotate import tokenize_raw
+from .annotate import tokenize_words
 from .autodiff import Var
 from .encoder import EncoderConfig, Params, encode_forward, multitask_heads, wrap_params
 from .encoder import collect_grads  # noqa: F401  # perfbench/layers.py traces this module's binding
@@ -32,24 +32,21 @@ from .vocab import Vocabulary
 
 
 class _Sentence:
-    """A sentence's case-folded tokens and, once a word needs them, its subword ranges and states."""
+    """A sentence's case-folded tokens and, once a word needs them, its subword starts and states."""
 
     def __init__(self, text: str):
-        self.tokens = tokenize_raw(text)
-        self.folded = [t.text.lower() for t in self.tokens]
-        self.ranges: list[tuple[int, int]] = []
+        self.words = tokenize_words(text)
+        self.folded = [w.lower() for w in self.words]
+        self.starts: list[int] = []  # where each token's subwords start after [CLS], the end last
         self.hidden: np.ndarray | None = None
 
     def states(self, params: Params, config: EncoderConfig, vocab: Vocabulary) -> np.ndarray:
         if self.hidden is None:
-            ids = [vocab.cls_id]
-            for tok in self.tokens:
-                piece = vocab.encode_word(tok.text)
-                self.ranges.append((len(ids), len(ids) + len(piece)))
-                ids.extend(piece)
-            ids.append(vocab.sep_id)
+            ids, starts = vocab.encode_words(self.words)
+            self.starts = [s + 1 for s in starts]
             with ad.no_grad():
-                self.hidden = encode_forward(ids[: config.max_len], config, wrap_params(params)).value
+                self.hidden = encode_forward([vocab.cls_id, *ids, vocab.sep_id][: config.max_len], config,
+                                             wrap_params(params)).value
         return self.hidden
 
 
@@ -79,7 +76,7 @@ def word_representation(
             continue
         hidden = sentence.states(params, config, vocab)
         for i in hits:
-            a, b = sentence.ranges[i]
+            a, b = sentence.starts[i], sentence.starts[i + 1]
             if b <= len(hidden):
                 states.append(hidden[a:b].mean(axis=0))
     if not states:

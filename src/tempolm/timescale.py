@@ -70,7 +70,6 @@ class TimePoint:
                 return TimePoint(int(parts[0]), int(parts[1]), granularity=Granularity.MONTH)
             if len(parts) == 3:
                 y, m, d = (int(p) for p in parts)
-                _dt.date(y, m, d)
                 return TimePoint(y, m, d, granularity=Granularity.DAY)
         except (ValueError, ConfigError) as exc:
             raise TimestampParseError(f"bad time point {text!r}: {exc}") from exc
@@ -99,10 +98,9 @@ def parse_timestamp(text: str) -> TimePoint:
         raise TimestampParseError(f"timestamp must be YYYY-MM-DD, got {text!r}")
     y, mo, d = (int(g) for g in m.groups())
     try:
-        _dt.date(y, mo, d)
-    except ValueError as exc:
+        return TimePoint(y, mo, d, granularity=Granularity.DAY)
+    except (ValueError, ConfigError) as exc:  # a month out of range, or a day the month lacks
         raise TimestampParseError(f"invalid calendar date {text!r}: {exc}") from exc
-    return TimePoint(y, mo, d, granularity=Granularity.DAY)
 
 
 @dataclass(frozen=True)

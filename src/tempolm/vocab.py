@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import json
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, ParseError
@@ -101,9 +102,12 @@ class Vocabulary:
         return ids
 
     def encode_word(self, word: str) -> list[int]:
+        return list(self._word_ids(word))
+
+    def _word_ids(self, word: str) -> tuple[int, ...]:
         cached = self._word_cache.get(word)
         if cached is not None:
-            return list(cached)
+            return cached
         # Apply the earliest merge present (merged ids grow with rank) until
         # none is. This equals applying every merge in learned order: a merge
         # only makes pairs that hold its new id, and no earlier merge names it.
@@ -115,15 +119,25 @@ class Vocabulary:
                 break
             merged, (a, b) = min(ranked)
             ids = _merge_pair(ids, a, b, merged)
-        self._word_cache[word] = tuple(ids)
-        return list(ids)
+        cached = self._word_cache[word] = tuple(ids)
+        return cached
+
+    def encode_words(self, words: Iterable[str]) -> tuple[list[int], list[int]]:
+        """The ids of ``words`` one after another, and where each word's ids start, the end last.
+
+        Every model input is encoded here: documents, fine-tuning and query
+        texts, period sentences and replacement surfaces.
+        """
+        ids: list[int] = []
+        starts = [0]
+        for word in words:
+            ids += self._word_ids(word)
+            starts.append(len(ids))
+        return ids, starts
 
     def encode_text(self, text: str) -> list[int]:
         """Ids for a raw string; decoding them reproduces it exactly."""
-        ids: list[int] = []
-        for piece in _PIECE_RE.findall(text):
-            ids.extend(self.encode_word(piece))
-        return ids
+        return self.encode_words(_PIECE_RE.findall(text))[0]
 
     def decode(self, ids: list[int]) -> str:
         out: list[str] = []
