@@ -18,6 +18,7 @@ import functools
 import math
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -208,7 +209,8 @@ def _corpus_setup(args, need_calendar: bool):
     if args.vocab:
         vocab = Vocabulary.from_json(read_json(args.vocab))
     else:
-        vocab = build_vocab([d.text for d in docs], target_size=args.vocab_size)
+        # the kept tokens only: a refined document's text still holds the sentences refine dropped
+        vocab = build_vocab(Counter(w for d in docs for w in d.token_texts), target_size=args.vocab_size)
     return docs, span, calendar, vocab
 
 

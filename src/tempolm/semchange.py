@@ -37,13 +37,12 @@ class _Sentence:
     def __init__(self, text: str):
         self.words = tokenize_words(text)
         self.folded = [w.lower() for w in self.words]
-        self.starts: list[int] = []  # where each token's subwords start after [CLS], the end last
+        self.starts: list[int] = []  # where each token's subwords start, the end last, not counting [CLS]
         self.hidden: np.ndarray | None = None
 
     def states(self, params: Params, config: EncoderConfig, vocab: Vocabulary) -> np.ndarray:
         if self.hidden is None:
-            ids, starts = vocab.encode_words(self.words)
-            self.starts = [s + 1 for s in starts]
+            ids, self.starts = vocab.encode_words(self.words)
             with ad.no_grad():
                 self.hidden = encode_forward([vocab.cls_id, *ids, vocab.sep_id][: config.max_len], config,
                                              wrap_params(params)).value
@@ -76,7 +75,7 @@ def word_representation(
             continue
         hidden = sentence.states(params, config, vocab)
         for i in hits:
-            a, b = sentence.starts[i], sentence.starts[i + 1]
+            a, b = sentence.starts[i] + 1, sentence.starts[i + 1] + 1  # after [CLS]
             if b <= len(hidden):
                 states.append(hidden[a:b].mean(axis=0))
     if not states:

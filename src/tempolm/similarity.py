@@ -57,6 +57,8 @@ def zero_shot_similarity(
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine of two vectors, computed in float64; 0 if either is zero."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     na = float(np.linalg.norm(a))
     nb = float(np.linalg.norm(b))
     if na == 0.0 or nb == 0.0:

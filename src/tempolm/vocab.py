@@ -5,23 +5,23 @@ of byte-pair encoding: start from observed characters, repeatedly merge the
 most frequent adjacent pair (ties broken by the lexicographically smallest
 pair) until the named vocabulary reaches ``target_size``. A fixed block of
 256 byte tokens sits after the named block so that any string, seen or not,
-encodes and decodes losslessly.
+encodes and decodes losslessly. The words are the annotator's tokens, the
+one split every model input goes through, so every merge can fire.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-import re
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
+from .annotate import tokenize_raw, tokenize_words
 from .errors import ConfigError, ParseError
 
 SPECIALS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
 N_BYTES = 256
-
-_PIECE_RE = re.compile(r"\S+|\s+")
 
 
 def _byte_text(raw: list[int]) -> str:
@@ -136,8 +136,17 @@ class Vocabulary:
         return ids, starts
 
     def encode_text(self, text: str) -> list[int]:
-        """Ids for a raw string; decoding them reproduces it exactly."""
-        return self.encode_words(_PIECE_RE.findall(text))[0]
+        """Ids for a raw string; decoding them reproduces it exactly.
+
+        Each token of ``annotate.tokenize_raw`` encodes as in ``encode_words``;
+        the whitespace runs between tokens, never learned, fall back to bytes.
+        """
+        pieces, end = [], 0
+        for tok in tokenize_raw(text):
+            pieces += [text[end : tok.char_start], tok.text]
+            end = tok.char_end
+        pieces.append(text[end:])
+        return self.encode_words(pieces)[0]
 
     def decode(self, ids: list[int]) -> str:
         out: list[str] = []
@@ -193,7 +202,9 @@ def _merge_pair(ids: list[int], a: int, b: int, merged: int) -> list[int]:
 def build_vocab(corpus: "list[str] | dict[str, int]", target_size: int) -> Vocabulary:
     """Learn a vocabulary of at most ``target_size`` named tokens.
 
-    ``corpus`` is either raw strings or a pre-counted word-frequency table.
+    ``corpus`` is either raw strings, whose tokens (``annotate.tokenize_words``,
+    the split every model input goes through) are counted, or a pre-counted
+    word-frequency table.
     The named block holds the specials, then observed characters by
     frequency, then learned merges; identical corpora produce identical
     vocabularies.
@@ -203,11 +214,9 @@ def build_vocab(corpus: "list[str] | dict[str, int]", target_size: int) -> Vocab
 
     word_freq: dict[str, int] = {}
     char_freq: dict[str, int] = {}
-    if isinstance(corpus, dict):
-        items = corpus.items()
-    else:
-        items = _count_pieces(corpus).items()
-    for piece, freq in items:
+    if not isinstance(corpus, dict):
+        corpus = Counter(word for text in corpus for word in tokenize_words(text))
+    for piece, freq in corpus.items():
         for ch in piece:
             char_freq[ch] = char_freq.get(ch, 0) + freq
         if not piece.isspace():
@@ -266,11 +275,3 @@ def build_vocab(corpus: "list[str] | dict[str, int]", target_size: int) -> Vocab
 
 def _pairs(ids: list[int]) -> list[tuple[int, int]]:
     return [p for p in zip(ids, ids[1:]) if p[0] >= 0 and p[1] >= 0]
-
-
-def _count_pieces(texts: list[str]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for text in texts:
-        for piece in _PIECE_RE.findall(text):
-            counts[piece] = counts.get(piece, 0) + 1
-    return counts

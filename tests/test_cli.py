@@ -3,15 +3,16 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tempolm.annotate import annotate_document
-from tempolm.checkpoint import EncoderCheckpoint, checkpoint_save
+from tempolm.checkpoint import EncoderCheckpoint, checkpoint_load, checkpoint_save
 from tempolm.cli import InFile, build_parser, main
-from tempolm.corpus import document_to_record
+from tempolm.corpus import document_to_record, read_documents
 from tempolm.encoder import EncoderConfig, init_params
 from tempolm.errors import DependencyMissingError
 from tempolm.manifest import parse_config_file, sha256_file
@@ -61,6 +62,17 @@ def test_refine_reports_what_it_dropped_and_reruns_to_an_equal_manifest(tmp_path
     assert manifests[0]["config"]["derived"] == {
         "docs_read": 3, "docs_kept": 2, "sentences_dropped": 3, "tokens_read": 30, "tokens_kept": 18}
     assert manifests[0] == manifests[1]
+
+
+def test_pretrain_learns_its_vocabulary_from_the_kept_tokens(tmp_path):
+    _write_jsonl(tmp_path / "raw.jsonl", generate_corpus(120, seed=21, undated_sentence_rate=0.3))
+    assert run("annotate", "--in", tmp_path / "raw.jsonl", "--out", tmp_path / "ann.jsonl") == 0
+    assert run("refine", "--in", tmp_path / "ann.jsonl", "--out", tmp_path / "ref.jsonl") == 0
+    assert run("pretrain", "--in", tmp_path / "ref.jsonl", "--out", tmp_path / "m.tlm", "--vocab-size", 300, *_TOY) == 0
+    vocab = checkpoint_load(tmp_path / "m.tlm").vocab
+    kept = list(read_documents(tmp_path / "ref.jsonl"))
+    assert vocab.dumps() == build_vocab(Counter(w for d in kept for w in d.token_texts), target_size=300).dumps()
+    assert vocab.dumps() != build_vocab([d.text for d in kept], target_size=300).dumps()  # texts keep dropped sentences
 
 
 def test_annotate_rerun_identical_checksum(workdir, tmp_path):

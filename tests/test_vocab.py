@@ -1,7 +1,11 @@
+import re
+
 from hypothesis import given, strategies as st
 import pytest
 
+from tempolm.annotate import tokenize_raw
 from tempolm.errors import ConfigError
+from tempolm.synth import generate_corpus
 from tempolm.vocab import SPECIALS, Vocabulary, build_vocab
 
 
@@ -57,6 +61,37 @@ def test_frequent_words_become_units():
     corpus = ["in 1994 the treaty was signed"] * 50
     vocab = build_vocab(corpus, target_size=80)
     assert vocab.encode_word("1994") == [vocab.tokens.index("1994")]
+
+
+def test_no_learned_token_spans_two_annotator_tokens():
+    texts = [r["text"] for r in generate_corpus(1000, seed=5, sentences_per_doc=4, undated_sentence_rate=0.2)]
+    vocab = build_vocab(texts, target_size=512)
+    assert vocab.merges
+    assert [t for t in vocab.tokens[len(SPECIALS):] if len(tokenize_raw(t)) != 1] == []
+
+
+_NEWS_VOCAB = build_vocab(["The U.S. treaty, signed in 1994, held until the 1990s ended.", "Mr. Smith left."] * 3,
+                          target_size=80)
+
+
+@given(st.lists(st.sampled_from(["the", "U.S.", "1990s", "1994,", "Smith.", " ", "\n\t", "\u00e9t\u00e9"])
+                | st.text(max_size=8), max_size=20).map("".join))
+def test_encode_text_without_whitespace_runs_is_the_word_encoder(text):
+    """``encode_text`` encodes the text's tokens as the model does and its whitespace runs as bytes, in text order."""
+    tokens = tokenize_raw(text)
+    pieces = sorted([(t.char_start, t.text, True) for t in tokens]
+                    + [(m.start(), m.group(), False) for m in re.finditer(r"\s+", text)])
+    rest, kept = _NEWS_VOCAB.encode_text(text), []
+    for _, piece, is_token in pieces:
+        ids = _NEWS_VOCAB.encode_word(piece)
+        assert rest[: len(ids)] == ids
+        if is_token:
+            kept += ids
+        else:
+            assert all(_NEWS_VOCAB.is_byte(i) for i in ids)
+        rest = rest[len(ids):]
+    assert rest == []
+    assert kept == _NEWS_VOCAB.encode_words([t.text for t in tokens])[0]
 
 
 def test_json_roundtrip():
