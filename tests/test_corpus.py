@@ -317,7 +317,7 @@ _FORCED = objectives.SamplingRates(tser_replace=1.0, trwr_replace=1.0)
     (objectives.SamplingRates(), 64, 548, "d7d6feede269f0e217f71e2fa4151ba1ab40ee2052d523fa311b1b7ee8a0019b"),
     (_FORCED, 64, 548, "7c7b03d5ce7bb6bf46c94e645a69b0e1e4d1ce955b40243c27181212448cb08c"),
     (_FORCED, 24, 334, "c354e593782e25162d3e5700664035b06e1741b6a5e456e331ae6843840a5f67"),  # truncation drops 214
-])
+], ids=["default-rates-64", "forced-rates-64", "forced-rates-24"])  # a re-pinned digest keeps its case name
 def test_all_objective_example_bytes_are_pinned(pinned_corpus, rates, max_len, kept_targets, digest):
     """All five objectives, so masking, signal and person replacement and the re-assembled
     sequence around replaced spans are pinned, at default and forced replacement rates."""
