@@ -201,7 +201,8 @@ def train_step(
     flat gradient buffer; with a ``worker``, its child computes every other
     pack of the step, and the sum is the same to the bit. A non-finite loss
     or gradient raises ``DivergenceError`` before the update, so ``params``
-    are left as they were.
+    are left as they were. Every error stops the worker, so a failed run
+    leaves no process behind and the next step forks afresh.
     """
     grads = optimizer.grads
     loss = 0.0
@@ -226,13 +227,13 @@ def train_step(
             loss += total
             for k, v in parts.items():
                 parts_sum[k] = parts_sum.get(k, 0.0) + v
+        if not pack_losses:  # no pack: the update still decays the moments and weights
+            optimizer.grad.fill(0.0)
+        _check_finite(step, loss, parts_sum, optimizer)
     except BaseException:
         if worker is not None:
-            worker.close(kill=True)  # its pipe may hold the aborted step; the next step forks afresh
+            worker.close(kill=True)  # its pipe may also hold the aborted step
         raise
-    if not pack_losses:  # no pack: the update still decays the moments and weights
-        optimizer.grad.fill(0.0)
-    _check_finite(step, loss, parts_sum, optimizer)
     optimizer.step()
     return loss, parts_sum
 

@@ -1,5 +1,6 @@
 """The pack worker: same bytes on one CPU or two, typed failures, nothing left behind."""
 
+import gc
 import json
 import multiprocessing
 import os
@@ -70,8 +71,10 @@ def _shm():
 @pytest.fixture
 def one_blas_thread(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    packworker.shutdown()  # each test forks its own worker
     shm = _shm()
     yield
+    packworker.shutdown()
     assert multiprocessing.active_children() == []
     assert _shm() == shm
 
@@ -207,8 +210,92 @@ def test_pretrain_leaves_no_worker_and_no_shared_memory_file(one_blas_thread, mo
     config = EncoderConfig(layers=1, hidden_dim=16, heads=2, ffn_dim=24, max_len=64, vocab_size=vocab.size,
                            dd_classes=span.class_count(Granularity.MONTH), seed=1)
     settings = PretrainSettings(objectives=frozenset(Objective), seed=1, steps=2, batch_size=8, lr=1e-3)
-    pretrain(docs, vocab, config, settings, span=span, calendar=build_entity_calendar(docs))
+    for _ in range(2):  # the second run reuses the first run's worker
+        pretrain(docs, vocab, config, settings, span=span, calendar=build_entity_calendar(docs))
+    packworker.shutdown()
     assert starts == [1]
+
+
+def _tiny_runs():
+    """A small pre-training run and a one-point fine-tuning run (two more tensors), as closures of a seed."""
+    from tempolm.annotate import annotate_document
+    from tempolm.corpus import build_entity_calendar, derive_corpus_span
+    from tempolm.encoder import EncoderConfig
+    from tempolm.finetune import _train_one, instance_ids
+    from tempolm.timescale import Granularity
+    from tempolm.vocab import build_vocab
+
+    records = generate_corpus(12, start_year=1999, end_year=2000, seed=2, undated_sentence_rate=0)
+    docs = [annotate_document(r["id"], r["timestamp"], r["text"]) for r in records]
+    span = derive_corpus_span(docs)
+    calendar = build_entity_calendar(docs)
+    vocab = build_vocab([r["text"] for r in records], target_size=128)
+    # wide enough that 20 runs' buffers left mapped would add more than 5 MiB to the worker
+    config = EncoderConfig(layers=1, hidden_dim=48, heads=2, ffn_dim=96, max_len=64, vocab_size=vocab.size,
+                           dd_classes=span.class_count(Granularity.MONTH), seed=1)
+    events = generate_event_instances(16, start_year=1999, end_year=2000, seed=4)
+    train_ids = [instance_ids(vocab, e["text"], config.max_len) for e in events]
+    golds = [i % 2 for i in range(len(events))]
+
+    def pretrain_run(seed: int):
+        settings = PretrainSettings(objectives=frozenset(Objective), seed=seed, steps=2, batch_size=8, lr=1e-3)
+        params, _, logs = pretrain(docs, vocab, config, settings, span=span, calendar=calendar)
+        return params, [log.loss for log in logs]
+
+    def finetune_run(seed: int, base):
+        return _train_one(base, config, train_ids, golds, 2, 16, 1e-3, 1, seed), []
+
+    return pretrain_run, finetune_run
+
+
+def _fingerprint(run) -> tuple:
+    params, losses = run
+    return tuple((k, v.tobytes()) for k, v in sorted(params.items())), np.asarray(losses).tobytes()
+
+
+def _vm_rss_kib(pid: int) -> int:
+    for line in Path(f"/proc/{pid}/status").read_text(encoding="utf-8").splitlines():
+        if line.startswith("VmRSS:"):
+            return int(line.split()[1])
+    raise AssertionError(f"no VmRSS for process {pid}")
+
+
+def _open_fds() -> int:
+    gc.collect()  # mappings that only a reference cycle still holds keep their descriptor until collected
+    return len(os.listdir("/proc/self/fd"))
+
+
+@needs_two_cpus
+def test_one_worker_serves_runs_of_different_parameter_counts(one_blas_thread, monkeypatch):
+    starts = []
+    start = PackWorker._start
+    monkeypatch.setattr(PackWorker, "_start", lambda self: (starts.append(1), start(self)))
+    pretrain_run, finetune_run = _tiny_runs()
+
+    def three_runs() -> list[tuple]:
+        first = pretrain_run(1)
+        return [_fingerprint(first), _fingerprint(finetune_run(1, first[0])), _fingerprint(pretrain_run(2))]
+
+    with_worker = three_runs()
+    assert starts == [1]
+    usable = packworker.usable
+    monkeypatch.setattr(packworker, "usable", lambda: False)
+    assert three_runs() == with_worker
+    monkeypatch.setattr(packworker, "usable", usable)
+
+    # runs 1 and 2 on the worker, then 20 more: the worker unmaps each run's buffers and no descriptor leaks
+    base, _ = pretrain_run(1)
+    finetune_run(1, base)
+    child = packworker._proc.pid
+    rss, fds = _vm_rss_kib(child), _open_fds()
+    for i in range(20):
+        if i % 2:
+            pretrain_run(3 + i)
+        else:
+            finetune_run(3 + i, base)
+        assert abs(_vm_rss_kib(child) - rss) < 5 * 1024
+        assert _open_fds() <= fds
+    assert packworker._proc.pid == child and starts == [1]
 
 
 @needs_two_cpus
@@ -308,3 +395,80 @@ def test_artifacts_identical_on_one_and_two_cpus(tmp_path):
     assert set(runs["one"][1]) == {"model.tlm", "model.tlm.loss.jsonl", "model.tlm.manifest.json",
                                    "ft.tlm", "ft.tlm.manifest.json"}
     assert runs["one"][1] == runs["two"][1]
+
+
+# -- one worker per process --------------------------------------------------------
+
+_PRINT_WORKER = (
+    "import sys, time\n"
+    "from tempolm import packworker\n"
+    "from tempolm.cli import main\n"
+    "code = main(sys.argv[2:])\n"
+    "print(f'worker={packworker._proc.pid}', flush=True)\n"
+    "if sys.argv[1] == 'kill':\n"
+    "    time.sleep(60)\n"
+    "sys.exit(code)\n"
+)
+
+
+def _gone(pid: int) -> bool:
+    """No process ``pid``, or only its zombie, which nothing in this container need reap."""
+    try:
+        status = Path(f"/proc/{pid}/status").read_text(encoding="utf-8")
+    except FileNotFoundError:
+        return True
+    return "\nState:\tZ" in status
+
+
+@pytest.fixture(scope="module")
+def annotated(tmp_path_factory) -> Path:
+    where = tmp_path_factory.mktemp("annotated")
+    records = generate_corpus(30, start_year=1999, end_year=2002, seed=8, undated_sentence_rate=0)
+    (where / "raw.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    assert main(["annotate", "--in", str(where / "raw.jsonl"), "--out", str(where / "ann.jsonl")]) == 0
+    return where / "ann.jsonl"
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("end", ["exit", "kill"])
+def test_worker_does_not_outlive_its_parent(tmp_path, annotated, end):
+    shm = _shm()
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(SRC)}
+    proc = subprocess.Popen([sys.executable, "-c", _PRINT_WORKER, end, "pretrain", "--in", str(annotated),
+                             "--out", "model.tlm", "--steps", "2", "--batch-size", "16", "--hidden-dim", "16",
+                             "--ffn-dim", "24", "--layers", "1", "--max-len", "64"],
+                            cwd=tmp_path, env=env, stdout=subprocess.PIPE, text=True)
+    try:
+        worker = next(int(line[len("worker="):]) for line in proc.stdout if line.startswith("worker="))
+        if end == "kill":  # while the worker idles between runs
+            proc.kill()
+        assert proc.wait(60) == (-signal.SIGKILL if end == "kill" else 0)
+    finally:
+        proc.kill()
+        proc.wait(60)
+        proc.stdout.close()
+    deadline = time.monotonic() + (10.0 if end == "kill" else 5.0)
+    while not _gone(worker) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _gone(worker)
+    assert _shm() == shm
+
+
+@needs_two_cpus
+def test_finetune_grid_forks_one_worker(tmp_path):
+    from tempolm.checkpoint import EncoderCheckpoint, checkpoint_save
+    from tempolm.encoder import EncoderConfig, init_params
+    from tempolm.vocab import build_vocab
+
+    events = generate_event_instances(40, start_year=1999, end_year=2002, seed=4)
+    for name, lo, hi in (("train", 0, 32), ("val", 32, 40)):
+        (tmp_path / f"{name}.jsonl").write_text("".join(json.dumps(r) + "\n" for r in events[lo:hi]),
+                                                encoding="utf-8")
+    vocab = build_vocab([e["text"] for e in events], target_size=128)
+    config = EncoderConfig(layers=1, hidden_dim=16, heads=2, ffn_dim=24, max_len=64, vocab_size=vocab.size, seed=1)
+    checkpoint_save(EncoderCheckpoint(config=config, vocab=vocab, params=init_params(config), step=0),
+                    tmp_path / "base.tlm")
+    # the default grid: 12 points, each with steps of several packs
+    forks = _cli(CPUS[:2], tmp_path, "finetune", "--checkpoint", "base.tlm", "--train", "train.jsonl",
+                 "--val", "val.jsonl", "--out", "ft.tlm", "--granularity", "year", "--span", "1999..2002")
+    assert forks == 1

@@ -10,7 +10,7 @@ from tempolm.vocab import SPECIALS, Vocabulary, build_vocab
 
 
 def test_toy_merge_oracle():
-    # hand trace: chars a/space/b enter by frequency, then merges "aa", "aaa"
+    # hand trace: chars a/b enter by frequency (whitespace is not a token), then merges "aa", "aaa", "ab"
     vocab = build_vocab(["aaa aaa ab"], target_size=10)
     assert vocab.named_size == 10
     assert "aaa" in vocab.tokens
