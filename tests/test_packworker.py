@@ -294,7 +294,7 @@ def test_one_worker_serves_runs_of_different_parameter_counts(one_blas_thread, m
         else:
             finetune_run(3 + i, base)
         assert abs(_vm_rss_kib(child) - rss) < 5 * 1024
-        assert _open_fds() <= fds
+    assert _open_fds() <= fds
     assert packworker._proc.pid == child and starts == [1]
 
 
@@ -430,8 +430,8 @@ def annotated(tmp_path_factory) -> Path:
 
 
 @needs_two_cpus
-@pytest.mark.parametrize("end", ["exit", "kill"])
-def test_worker_does_not_outlive_its_parent(tmp_path, annotated, end):
+@pytest.mark.parametrize("end, code", [("exit", 0), ("kill", -signal.SIGKILL)], ids=["exit", "kill"])
+def test_worker_does_not_outlive_its_parent(tmp_path, annotated, end, code):
     shm = _shm()
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(SRC)}
     proc = subprocess.Popen([sys.executable, "-c", _PRINT_WORKER, end, "pretrain", "--in", str(annotated),
@@ -442,7 +442,7 @@ def test_worker_does_not_outlive_its_parent(tmp_path, annotated, end):
         worker = next(int(line[len("worker="):]) for line in proc.stdout if line.startswith("worker="))
         if end == "kill":  # while the worker idles between runs
             proc.kill()
-        assert proc.wait(60) == (-signal.SIGKILL if end == "kill" else 0)
+        assert proc.wait(60) == code
     finally:
         proc.kill()
         proc.wait(60)
