@@ -43,7 +43,7 @@ from .manifest import ManifestWriter, jsonl_line, parse_config_file, read_json, 
 from .metrics import MetricReport, metric_acc, metric_mae, two_tailed_ttest
 from .objectives import Objective, SamplingRates, build_training_example, example_to_record
 from .pretrain import PretrainSettings, pretrain
-from .semchange import adapt_mlm, evaluate_semantic_change, read_gold_shifts
+from .semchange import adapt_mlm, check_adaptation, evaluate_semantic_change, read_gold_shifts
 from .similarity import estimate_time_scope, year_vocabulary, zero_shot_similarity
 from .timescale import CorpusSpan, Granularity
 from .vocab import Vocabulary, build_vocab
@@ -397,6 +397,7 @@ def _write_report(report: MetricReport, args) -> list[str]:
 
 
 def _eval_semantic_change(args) -> list[str]:
+    check_adaptation(args.adapt_lr, args.adapt_epochs)
     _need(args, "checkpoint", "gold", "corpus_t1", "corpus_t2")
     ckpt = checkpoint_load(args.checkpoint)
     gold = read_gold_shifts(args.gold)
@@ -419,6 +420,8 @@ def _eval_semantic_change(args) -> list[str]:
 
 
 def cmd_similarity(args, derived) -> list[str]:
+    if args.top < 1:
+        raise ConfigError(f"--top must be >= 1, got {args.top}")
     try:
         first, last = (int(y) for y in args.years.split(":"))
     except ValueError:

@@ -23,7 +23,6 @@ from .encoder import collect_grads  # noqa: F401  # perfbench/layers.py traces t
 from .errors import ConfigError
 from .objectives import example_rng
 from .optim import AdamW
-from .packworker import PackWorker
 from .pretrain import check_schedule, train_step
 from .timescale import TimeLabel
 from .vocab import Vocabulary
@@ -101,18 +100,17 @@ def _train_one(
     params["cls.b"] = np.zeros(n_classes, dtype=config.np_dtype)
     optimizer = AdamW(params, lr=lr, weight_decay=0.01)
     n = len(train_ids)
-    with PackWorker(optimizer) as worker:
-        for epoch in range(epochs):
-            order = example_rng("finetune", seed, f"order{epoch}").permutation(n).tolist()
-            for start in range(0, n, batch_size):
-                batch = order[start : start + batch_size]
-                packs = pack_sequences([len(train_ids[i]) for i in batch], config.pack_len)
-                # each example's loss weighted 1/len(batch): the batch mean
-                train_step(params, optimizer, optimizer.t, [
-                    partial(_cls_loss, [train_ids[batch[j]] for j in pack], [train_golds[batch[j]] for j in pack],
-                            1.0 / len(batch), config)
-                    for pack in packs
-                ], worker)
+    for epoch in range(epochs):
+        order = example_rng("finetune", seed, f"order{epoch}").permutation(n).tolist()
+        for start in range(0, n, batch_size):
+            batch = order[start : start + batch_size]
+            packs = pack_sequences([len(train_ids[i]) for i in batch], config.pack_len)
+            # each example's loss weighted 1/len(batch): the batch mean
+            train_step(params, optimizer, optimizer.t, [
+                partial(_cls_loss, [train_ids[batch[j]] for j in pack], [train_golds[batch[j]] for j in pack],
+                        1.0 / len(batch), config)
+                for pack in packs
+            ])
     return params
 
 

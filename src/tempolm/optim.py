@@ -4,7 +4,9 @@ The optimizer keeps the parameters, their gradient and both moments each in
 one flat buffer, laid out in sorted name order, and rebinds every entry of
 the caller's ``params`` dict to a view of the parameter buffer. The
 parameter buffer is a shared memfd mapping, so the pack worker
-(``packworker``) reads the current weights without a copy. One update runs
+(``packworker``) reads the current weights without a copy; the worker's two
+gradient slots, made at the first step with two packs, belong to the
+optimizer too and are freed with it. One update runs
 over the flat buffers in cache-sized chunks; every value equals that of the
 per-tensor update, because each element sees the same operations in the
 same order.
@@ -53,6 +55,7 @@ class AdamW:
             params[name] = view
         self.params = params
         self.grads = self.views(self.grad)
+        self.grad_slots: np.ndarray | None = None  # the pack worker's, made by ``packworker.begin``
         self._scratch = np.empty((2, min(size, _CHUNK)), dtype=dtype)
         self.lr = lr
         self.beta1, self.beta2 = betas

@@ -1,42 +1,35 @@
 """One forked worker process, per process, that runs half of a training step's packs.
 
-A step's gradient is the sum of independent per-pack gradients. With a
-``PackWorker`` open around a training run, ``pretrain.train_step`` hands the
-odd-numbered packs of every step with at least two packs to the worker and
-runs the even-numbered ones itself. The worker reads the parameters from the
-optimizer's shared flat buffer, writes each pack's gradient into one of the
-run's two shared slots, and the parent adds every pack's gradient into the
-step's sum strictly in pack order, so the sum, and every artifact after it,
-is byte-identical to running all packs in one process.
+A step's gradient is the sum of independent per-pack gradients. Every stage
+calls ``pretrain.train_step`` alike, and the worker stays behind it: the
+step hands the odd-numbered packs of a step with at least two packs to the
+worker, as tasks ``task(params, slot) -> (loss, parts)`` that write a pack's
+gradient into one of two shared slots, and runs the even-numbered ones
+itself. The parent adds every pack's gradient strictly in pack order, so
+the sum, and every artifact after it, is byte-identical to one process.
 
-Lifecycle. A process has at most one worker. It is forked at the first step
-with at least two packs, pinned to the last usable CPU (an unpinned worker,
-which sleeps between packs, ran them slower and less steadily), and every
-later training run of the process (``pretrain`` and each fine-tuning grid
-point) reuses it. It stops at interpreter exit, when its parent dies (it
-reads EOF: processes forked later drop their copy of the pipe), on
-``shutdown()``, and on every exception ``train_step`` raises, a
-``DivergenceError`` included; the next step that needs a worker forks
-afresh.
+Lifecycle. A process has at most one worker, forked bare at the first step
+with at least two packs and pinned to the last usable CPU (unpinned, it ran
+packs slower and less steadily); every later step of every run reuses it.
+It stops at interpreter exit, when its parent dies (it reads EOF: processes
+forked later drop their copy of the pipe), on ``shutdown()``, and on every
+exception ``train_step`` raises, a ``DivergenceError`` included. The next
+step that needs a worker forks afresh; a step whose fork fails runs in this
+process, and the next multi-pack step tries again.
 
-Buffers. Each run's parameter buffer (``shared_zeros``, made by the
-optimizer) and its two gradient slots are ``memfd`` mappings, so a worker
-forked before them can map them too. A fresh fork inherits the mappings of
-the run that forks it; a running worker is sent the run's file descriptors
-once, over its pipe, at the run's first step with two packs, and unmaps the
-previous run's buffers when they arrive. Both sides close a descriptor once
-they have mapped it, and nothing appears in ``/dev/shm``.
-
-Memory. A run maps two gradient slots of its parameter count (2.1 MiB on the
-toy config), freed in the parent when the run ends and in the worker when
-the next run's buffers arrive. The worker is a copy-on-write fork: what it
-computes is its own private memory, and it keeps the parent's pages as of
-the fork, the forking run's buffers among them, for as long as it lives.
+Buffers. An optimizer's parameter buffer (``shared_zeros``) and its gradient
+slots (``AdamW.grad_slots``, made here at its first multi-pack step and
+freed with it) are ``memfd`` mappings, each keeping its descriptor open as
+long as it lives. Every run sends both descriptors over the pipe at its
+first multi-pack step, and again to a fresh worker after a kill; the worker
+maps them, closes its copies and unmaps the previous run's buffers. Nothing
+appears in ``/dev/shm``. The worker is a copy-on-write fork: it keeps the
+parent's pages as of the fork for as long as it lives.
 
 The worker is used only when at least 2 CPUs are usable and OpenBLAS is
 pinned to one thread (``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``,
 is ``1``): with multi-threaded BLAS two processes oversubscribe the CPUs.
-A fork is safe only in a single-threaded process, so a run is also kept in
+A fork is safe only in a single-threaded process, so a step also stays in
 one process while any other Python thread runs.
 """
 
@@ -52,33 +45,34 @@ import signal
 import socket
 import threading
 import traceback
-from typing import Callable, Sequence
+import weakref
+from itertools import islice
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from . import autodiff as ad
-from .encoder import Params, collect_grads, wrap_params
+from .encoder import Params
 from .errors import PackWorkerError
 
-SLOTS = 2  # gradient slots: the worker computes one pack while the parent adds the other
+SLOTS = 2  # gradient slots: the worker computes one task while the parent adds the other
 
-# this process's worker, the parent's end of its pipe, and the run whose buffers it has mapped
+# this process's worker, the parent's end of its pipe, and the optimizer whose buffers it has mapped
 _proc = None
 _conn = None
-_holder: "PackWorker | None" = None
+_holder: weakref.ref | None = None
+# the step's worker tasks not yet sent, each with its slot, and how many results the parent has added
+_queue: Iterator[tuple[int, Callable]] = iter(())
+_added = 0
 
 
 class _Memfd(mmap.mmap):
-    """A shared mapping of a memfd whose descriptor stays open until the worker has the mapping."""
+    """A shared mapping of a memfd whose descriptor stays open as long as the mapping lives."""
 
     fd = -1
 
-    def release(self) -> None:
+    def __del__(self) -> None:
         if self.fd >= 0:
             os.close(self.fd)
-            self.fd = -1
-
-    __del__ = release
 
 
 def shared_zeros(size: int, dtype) -> np.ndarray:
@@ -97,11 +91,11 @@ def shared_zeros(size: int, dtype) -> np.ndarray:
     return np.frombuffer(mapping, dtype=dtype)
 
 
-def _mapping(array: np.ndarray) -> _Memfd:
-    """The memfd mapping under ``array``, a view of a ``shared_zeros`` buffer."""
+def _fd(array: np.ndarray) -> int:
+    """The memfd under ``array``, a view of a ``shared_zeros`` buffer."""
     while isinstance(array, np.ndarray):
         array = array.base
-    return array.obj  # np.frombuffer holds the mapping through a memoryview
+    return array.obj.fd  # np.frombuffer holds the mapping through a memoryview
 
 
 def flat_views(flat: np.ndarray, layout: list[tuple[str, tuple[int, ...], int]]) -> Params:
@@ -145,125 +139,93 @@ atexit.register(shutdown)
 os.register_at_fork(after_in_child=_forget)
 
 
-class PackWorker:
-    """One training run's use of the process's worker, against ``optimizer``'s shared parameters.
+def _start() -> None:
+    """Fork the worker, bare: each run sends it its buffers."""
+    global _proc, _conn
+    ctx = multiprocessing.get_context("fork")
+    _conn, child_end = ctx.Pipe()
+    proc = ctx.Process(target=_serve, args=(child_end, max(os.sched_getaffinity(0))), daemon=True)
+    try:
+        proc.start()
+    finally:
+        child_end.close()
+    _proc = proc
 
-    Open it around a training run; ``begin`` and ``add_next`` are called by
-    ``train_step`` only.
+
+def begin(optimizer, tasks: Sequence[Callable]) -> set[int]:
+    """Hand the odd-numbered ``tasks`` of a step to the worker; returns their indices.
+
+    Each task is ``task(params, slot) -> (loss, parts)`` and writes its
+    gradient into ``slot``, both laid out like ``optimizer``'s parameters.
+    Returns no index, and the step runs in this process, when the worker is
+    not usable, the step has fewer than two tasks, or no process or memfd is
+    to be had.
     """
-
-    def __init__(self, optimizer):
-        self.optimizer = optimizer
-        self.enabled = usable()
-        self._slots: np.ndarray | None = None
-        self._packs: list[Callable] = []  # the step's packs for the worker; the i-th uses slot i % SLOTS
-        self._sent = self._added = 0
-
-    def __enter__(self) -> "PackWorker":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _start(self) -> None:
-        """Fork the worker; it inherits this run's buffers."""
-        global _proc, _conn
-        opt = self.optimizer
-        ctx = multiprocessing.get_context("fork")
-        _conn, child_end = ctx.Pipe()
-        cpu = max(os.sched_getaffinity(0))
-        proc = ctx.Process(target=_serve, args=(child_end, cpu, opt.views(opt.flat),
-                                                [opt.views(slot) for slot in self._slots]), daemon=True)
+    global _holder, _queue, _added
+    if len(tasks) < 2 or not usable():
+        return set()
+    if _holder is None or _holder() is not optimizer:
+        flat = optimizer.flat
         try:
-            proc.start()
-        finally:
-            child_end.close()
-        _proc = proc
-
-    def close(self, kill: bool = False) -> None:
-        """End the run: release its slots, and with ``kill`` stop the worker at once."""
-        global _holder
-        if kill:
-            shutdown(kill=True)
-        if _holder is self:
-            _holder = None
-        self._slots = None
-        self._packs = []
-
-    def _attach(self) -> None:
-        """Give the worker this run's buffers: sent as memfds to a running one, or inherited by a fresh fork."""
-        global _holder
-        opt = self.optimizer
-        if self._slots is None:
-            self._slots = shared_zeros(SLOTS * opt.flat.size, opt.flat.dtype).reshape(SLOTS, -1)
-        mappings = [_mapping(opt.flat), _mapping(self._slots)]
-        if _proc is not None and all(m.fd >= 0 for m in mappings):
-            self._send((None, (opt.layout, opt.flat.dtype.str)))
-            try:
-                with socket.fromfd(_conn.fileno(), socket.AF_UNIX, socket.SOCK_STREAM) as sock:
-                    socket.send_fds(sock, [b"\0"], [m.fd for m in mappings])
-            except OSError:
-                raise self._died() from None
-        else:  # no worker yet, or buffers already handed to an earlier one: a fork inherits them
+            if optimizer.grad_slots is None:
+                optimizer.grad_slots = shared_zeros(SLOTS * flat.size, flat.dtype).reshape(SLOTS, -1)
+            if _proc is None:
+                _start()
+        except OSError:  # the next multi-pack step tries again
             shutdown()
-            self._start()
-        for m in mappings:
-            m.release()
-        _holder = self
-
-    def begin(self, pack_losses: Sequence[Callable]) -> set[int]:
-        """Hand the odd-numbered packs to the worker; returns their indices."""
-        if not self.enabled or len(pack_losses) < 2:
             return set()
-        if _holder is not self:
-            try:
-                self._attach()
-            except OSError:  # no process or memfd to be had: the run goes on in this one
-                shutdown()
-                self.enabled = False
-                return set()
-        self._packs = list(pack_losses[1::2])
-        self._sent = self._added = 0
-        while self._sent < min(SLOTS, len(self._packs)):
-            self._send((self._sent % SLOTS, self._packs[self._sent]))
-            self._sent += 1
-        return set(range(1, len(pack_losses), 2))
-
-    def _send(self, message) -> None:
+        _send((None, (optimizer.layout, flat.dtype.str)))
         try:
-            _conn.send(message)
+            with socket.fromfd(_conn.fileno(), socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+                socket.send_fds(sock, [b"\0"], [_fd(flat), _fd(optimizer.grad_slots)])
         except OSError:
-            raise self._died() from None
-
-    def add_next(self, grad: np.ndarray) -> tuple[float, dict[str, float]]:
-        """Wait for the worker's next pack, add its gradient into ``grad``; returns its loss and parts."""
-        try:
-            loss, parts, error = _conn.recv()
-        except (EOFError, OSError):
-            raise self._died() from None
-        if error is not None:
-            raise error
-        np.add(grad, self._slots[self._added % SLOTS], out=grad)
-        self._added += 1
-        if self._sent < len(self._packs):  # into the slot just added
-            self._send((self._sent % SLOTS, self._packs[self._sent]))
-            self._sent += 1
-        return loss, parts
-
-    def _died(self) -> PackWorkerError:
-        proc = _proc
-        proc.join(1.0)
-        return PackWorkerError(f"pack worker {proc.pid} exited with code {proc.exitcode} during a step")
+            raise _died() from None
+        _holder = weakref.ref(optimizer)
+    _queue = ((i % SLOTS, task) for i, task in enumerate(tasks[1::2]))
+    _added = 0
+    for message in islice(_queue, SLOTS):
+        _send(message)
+    return set(range(1, len(tasks), 2))
 
 
-def _serve(conn, cpu: int, params: Params, slots: list[Params]) -> None:
-    """The worker: run each received pack loss and write its gradient into the given slot.
+def _send(message) -> None:
+    try:
+        _conn.send(message)
+    except OSError:
+        raise _died() from None
 
-    A message without a slot announces a new run, whose buffers follow as
+
+def add_next(optimizer) -> tuple[float, dict[str, float]]:
+    """Wait for the worker's next task, add its gradient into ``optimizer.grad``; returns its loss and parts."""
+    global _added
+    try:
+        loss, parts, error = _conn.recv()
+    except (EOFError, OSError):
+        raise _died() from None
+    if error is not None:
+        raise error
+    np.add(optimizer.grad, optimizer.grad_slots[_added % SLOTS], out=optimizer.grad)
+    _added += 1
+    for message in islice(_queue, 1):  # into the slot just added
+        _send(message)
+    return loss, parts
+
+
+def _died() -> PackWorkerError:
+    proc = _proc
+    proc.join(1.0)
+    return PackWorkerError(f"pack worker {proc.pid} exited with code {proc.exitcode} during a step")
+
+
+def _serve(conn, cpu: int) -> None:
+    """The worker: run each received task against the current run's buffers, into the given slot.
+
+    A message without a slot announces a run, whose buffers follow as
     memfds; the previous run's buffers are unmapped with their last views.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
     os.sched_setaffinity(0, {cpu})
+    params = slots = None
     while True:
         try:
             message = conn.recv_bytes()
@@ -275,7 +237,7 @@ def _serve(conn, cpu: int, params: Params, slots: list[Params]) -> None:
                 params = slots = None
                 params, slots = _map_buffers(conn, *task)
                 continue
-            conn.send((*_run_pack(task, params, slots[slot]), None))
+            conn.send((*task(params, slots[slot]), None))
         except Exception as exc:  # noqa: BLE001 - every failure goes back to the parent
             conn.send((None, None, _portable(exc)))
 
@@ -290,16 +252,6 @@ def _map_buffers(conn, layout, dtype: str) -> tuple[Params, list[Params]]:
         for fd in fds:
             os.close(fd)
     return flat_views(flat, layout), [flat_views(slot, layout) for slot in slots.reshape(SLOTS, -1)]
-
-
-def _run_pack(loss_of: Callable, params: Params, slot: Params) -> tuple[float, dict[str, float]]:
-    """One pack's loss and parts, its gradient written into ``slot``."""
-    pvars = wrap_params(params)
-    total, parts = loss_of(pvars)
-    ad.backward(total)
-    for name, g in collect_grads(pvars).items():
-        slot[name][...] = g
-    return float(total.value), parts
 
 
 def _portable(exc: Exception) -> Exception:

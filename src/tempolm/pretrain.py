@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import autodiff as ad
+from . import packworker
 from .annotate import AnnotatedDocument
 from .autodiff import Var
 from .corpus import EntityCalendar
@@ -40,7 +41,6 @@ from .errors import ConfigError, DivergenceError
 from .lexicon import SignalLexicon
 from .objectives import Objective, SamplingRates, TrainingExample, build_training_example, example_rng
 from .optim import AdamW
-from .packworker import PackWorker
 from .timescale import CorpusSpan
 
 
@@ -176,54 +176,42 @@ def pretrain(
     logs: list[StepLog] = []
     per_step = settings.batch_size * settings.grad_accum
 
-    with PackWorker(optimizer) as worker:
-        for step in range(settings.steps):
-            examples = [ex for ex in (next(stream) for _ in range(per_step)) if _has_targets(ex)]
-            n_eff = max(len(examples), 1)
-            packs = pack_sequences([len(ex.input_ids) for ex in examples], config.pack_len)
-            loss, parts = train_step(params, optimizer, step, [
-                partial(pack_loss, [examples[i] for i in pack], n_eff, config) for pack in packs
-            ], worker)
-            logs.append(StepLog(step=step, loss=loss, parts=parts))
+    for step in range(settings.steps):
+        examples = [ex for ex in (next(stream) for _ in range(per_step)) if _has_targets(ex)]
+        n_eff = max(len(examples), 1)
+        packs = pack_sequences([len(ex.input_ids) for ex in examples], config.pack_len)
+        loss, parts = train_step(params, optimizer, step, [
+            partial(pack_loss, [examples[i] for i in pack], n_eff, config) for pack in packs
+        ])
+        logs.append(StepLog(step=step, loss=loss, parts=parts))
     return params, optimizer, logs
 
 
 def train_step(
     params: Params, optimizer: AdamW, step: int,
     pack_losses: Sequence[Callable[[dict[str, Var]], tuple[Var, dict[str, float]]]],
-    worker: PackWorker | None = None,
 ) -> tuple[float, dict[str, float]]:
     """One optimizer step: the summed gradients of every pack's loss, then AdamW.
 
     Each of ``pack_losses`` takes freshly wrapped parameters and returns the
     loss of one pack and its per-head parts; the step's loss and parts are
     their sums. The gradients are summed in pack order into the optimizer's
-    flat gradient buffer; with a ``worker``, its child computes every other
-    pack of the step, and the sum is the same to the bit. A non-finite loss
-    or gradient raises ``DivergenceError`` before the update, so ``params``
-    are left as they were. Every error stops the worker, so a failed run
-    leaves no process behind and the next step forks afresh.
+    flat gradient buffer; when the pack worker is usable, it computes every
+    other pack of a step with at least two, and the sum is the same to the
+    bit. A non-finite loss or gradient raises ``DivergenceError`` before the
+    update, so ``params`` are left as they were. Every error stops the
+    worker, so a failed run leaves no process behind and the next step that
+    needs one forks afresh.
     """
-    grads = optimizer.grads
     loss = 0.0
     parts_sum: dict[str, float] = {}
-    remote: set[int] = set()
     try:
-        if worker is not None:
-            remote = worker.begin(pack_losses)
+        remote = packworker.begin(optimizer, [partial(pack_gradient, loss_of) for loss_of in pack_losses])
         for j, loss_of in enumerate(pack_losses):
             if j in remote:
-                total, parts = worker.add_next(optimizer.grad)
+                total, parts = packworker.add_next(optimizer)
             else:
-                pvars = wrap_params(params)
-                root, parts = loss_of(pvars)
-                ad.backward(root)
-                for name, g in collect_grads(pvars).items():
-                    if j:
-                        np.add(grads[name], g, out=grads[name])
-                    else:  # copied, not added to zeros: 0.0 + -0.0 is 0.0
-                        np.copyto(grads[name], g)
-                total = float(root.value)
+                total, parts = pack_gradient(loss_of, params, optimizer.grads, add=j > 0)
             loss += total
             for k, v in parts.items():
                 parts_sum[k] = parts_sum.get(k, 0.0) + v
@@ -231,11 +219,23 @@ def train_step(
             optimizer.grad.fill(0.0)
         _check_finite(step, loss, parts_sum, optimizer)
     except BaseException:
-        if worker is not None:
-            worker.close(kill=True)  # its pipe may also hold the aborted step
+        packworker.shutdown(kill=True)  # its pipe may also hold the aborted step
         raise
     optimizer.step()
     return loss, parts_sum
+
+
+def pack_gradient(loss_of: Callable, params: Params, out: Params, add: bool = False) -> tuple[float, dict[str, float]]:
+    """One pack's loss and parts; its gradient is added into ``out``, or copied there unless ``add``."""
+    pvars = wrap_params(params)
+    root, parts = loss_of(pvars)
+    ad.backward(root)
+    for name, g in collect_grads(pvars).items():
+        if add:
+            np.add(out[name], g, out=out[name])
+        else:  # copied, not added to zeros: 0.0 + -0.0 is 0.0
+            np.copyto(out[name], g)
+    return float(root.value), parts
 
 
 def _check_finite(step: int, loss: float, parts: dict[str, float], optimizer: AdamW) -> None:

@@ -20,13 +20,13 @@ from .annotate import tokenize_words
 from .autodiff import Var
 from .encoder import EncoderConfig, Params, encode_forward, multitask_heads, wrap_params
 from .encoder import collect_grads  # noqa: F401  # perfbench/layers.py traces this module's binding
-from .errors import MissingOccurrencesError, ParseError
+from .errors import ConfigError, MissingOccurrencesError, ParseError
 from .finetune import instance_ids
 from .manifest import read_pairs
 from .metrics import metric_pearson, metric_spearman
 from .objectives import apply_mask_policy, example_rng, mask_action
 from .optim import AdamW
-from .pretrain import train_step
+from .pretrain import check_schedule, train_step
 from .similarity import cosine_similarity
 from .vocab import Vocabulary
 
@@ -134,6 +134,13 @@ def read_gold_shifts(path: str | Path) -> dict[str, float]:
     return gold
 
 
+def check_adaptation(lr: float, epochs: int) -> None:
+    """Period adaptation's settings: ``lr`` finite and above 0, ``epochs`` at least 0 (0 adapts nothing)."""
+    check_schedule(lr, "adaptation ")
+    if epochs < 0:
+        raise ConfigError(f"adaptation epochs must be >= 0, got {epochs}")
+
+
 def adapt_mlm(
     params: Params,
     config: EncoderConfig,
@@ -147,6 +154,7 @@ def adapt_mlm(
 
     Each sentence masks 15% of its content positions (at least one) under the 80/10/10 draw.
     """
+    check_adaptation(lr, epochs)
     optimizer = AdamW(params, lr=lr, weight_decay=0.0)
     for epoch in range(epochs):
         for si, sentence in enumerate(sorted(sentences)):

@@ -4,12 +4,22 @@ The traced benchmark run wraps the targets that ``perfbench/layers.py`` lists
 in ``WRAPS`` and ``OPS``, and ``perfbench/workloads.py`` reads a few optional
 hooks with ``getattr``. A renamed target makes that run report ``missing``;
 this test names it at once instead. It reads the two files as source and
-changes nothing under ``perfbench/``.
+changes nothing under ``perfbench/``. A second test counts the calls through
+one such binding, so moving the gradient rule away from it shows too.
 """
 
 import ast
 import importlib
+import os
+from functools import partial
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from tempolm import packworker, pretrain
+from tempolm.autodiff import Var
+from tempolm.optim import AdamW
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -53,3 +63,32 @@ def test_every_benchmark_hook_resolves():
                      ("tempolm.bm25:BM25", "top_k"), ("tempolm.autodiff", "softmax")]:
         assert expected in hooks
     assert [f"{target}.{attr}" for target, attr in hooks if not _resolves(target, attr)] == []
+
+
+def _unit_loss(pvars):
+    w = pvars["w"]
+    return Var(np.asarray(1.0, dtype=np.float32), (w,), lambda g: (np.ones_like(w.value),)), {}
+
+
+@pytest.mark.parametrize("parallel", [False, True], ids=["worker-off", "worker-on"])
+def test_pretrain_collect_grads_sees_every_pack_this_process_runs(monkeypatch, parallel):
+    """perfbench's ``encoder.collect_grads`` wraps ``tempolm.pretrain.collect_grads``: a 2-pack step must call
+    that binding once per pack it runs here, so the metric stays above 0 wherever the gradient rule lives."""
+    if parallel and len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("the worker needs at least 2 usable CPUs")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    packworker.shutdown()  # a worker an earlier test left running
+    if not parallel:
+        monkeypatch.setattr(packworker, "usable", lambda: False)
+    calls = []
+    collect = pretrain.collect_grads
+    monkeypatch.setattr(pretrain, "collect_grads", lambda pvars: (calls.append(1), collect(pvars))[1])
+    params = {"w": np.zeros(3, dtype=np.float32)}
+    optimizer = AdamW(params, lr=0.1)
+    try:
+        pretrain.train_step(params, optimizer, 0, [_unit_loss, _unit_loss])
+        assert (packworker._proc is not None) == parallel
+    finally:
+        packworker.shutdown()
+    assert len(calls) == (1 if parallel else 2)
+    assert optimizer.grad.tolist() == [2.0, 2.0, 2.0]

@@ -645,6 +645,19 @@ def test_similarity_bad_years_is_config_error(tmp_path, capsys, years):
     assert sorted(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("top", [0, -1])
+def test_similarity_top_below_one_is_config_error(tmp_path, capsys, top):
+    events = generate_event_instances(4, start_year=1999, end_year=2002, seed=4)
+    _write_jsonl(tmp_path / "events.jsonl", events)
+    _untrained_checkpoint(tmp_path / "base.tlm", [e["text"] for e in events])
+    before = sorted(tmp_path.iterdir())
+    code = run("similarity", "--checkpoint", tmp_path / "base.tlm", "--events", tmp_path / "events.jsonl",
+               "--top", top, "--report", tmp_path / "sim.json")
+    assert code == 2
+    assert f"--top must be >= 1, got {top}" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def _written(path):
     """What a failed stage left in ``path``: outputs, temp files and manifests, not its inputs."""
     return sorted(p.name for p in path.iterdir() if p.suffix in (".tlm", ".json", ".jsonl", ".tmp"))
@@ -786,6 +799,25 @@ def test_annotate_error_of_a_record_names_its_line(tmp_path, capsys):
                                            "persons": [[0, 99, "Rain"]]}) + "\n", encoding="utf-8")
     assert run("annotate", "--in", raw, "--out", tmp_path / "ann.jsonl", "--persons", "external") == 2
     assert "line 2: person span [0, 99) outside text of length 12" in capsys.readouterr().err
+    assert _written(tmp_path) == []
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--adapt-lr", "-1e-3", "adaptation lr must be finite and > 0, got -0.001"),
+    ("--adapt-lr", "0", "adaptation lr must be finite and > 0, got 0.0"),
+    ("--adapt-lr", "nan", "adaptation lr must be finite and > 0, got nan"),
+    ("--adapt-epochs", -1, "adaptation epochs must be >= 0, got -1"),
+], ids=["lr-negative", "lr-0", "lr-nan", "epochs-negative"])
+def test_semantic_change_bad_adaptation_exits_2_and_writes_nothing(eval_dir, tmp_path, capsys, flag, value, message):
+    (tmp_path / "t1.txt").write_text("the plane was a flat surface\n")
+    (tmp_path / "t2.txt").write_text("the plane flew over the field\n")
+    (tmp_path / "gold.tsv").write_text("plane\t0.882\n")
+    code = run("eval", "--task", "semantic-change", "--checkpoint", eval_dir / "base.tlm", "--gold",
+               tmp_path / "gold.tsv", "--corpus-t1", tmp_path / "t1.txt", "--corpus-t2", tmp_path / "t2.txt",
+               "--adapt-lr", "1e-3", "--adapt-epochs", 1, f"{flag}={value}", "--report", tmp_path / "report.json")
+    assert code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
     assert _written(tmp_path) == []
 
 

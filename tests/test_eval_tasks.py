@@ -11,6 +11,7 @@ from tempolm.encoder import EncoderConfig, init_params
 from tempolm.errors import ConfigError, MissingOccurrencesError, ParseError
 import tempolm.semchange as semchange_mod
 from tempolm.semchange import (
+    adapt_mlm,
     evaluate_semantic_change,
     read_gold_shifts,
     semantic_change_score,
@@ -177,6 +178,22 @@ def test_semantic_change_missing_word(toy_model):
     params, config, vocab = toy_model
     with pytest.raises(MissingOccurrencesError):
         word_representation(params, config, vocab, "zeppelin", ["no such word here"])
+
+
+@pytest.mark.parametrize("lr, epochs, message", [
+    (-1e-3, 1, "adaptation lr must be finite and > 0, got -0.001"),
+    (0.0, 1, "adaptation lr must be finite and > 0, got 0.0"),
+    (float("nan"), 1, "adaptation lr must be finite and > 0, got nan"),
+    (float("inf"), 1, "adaptation lr must be finite and > 0, got inf"),
+    (1e-3, -1, "adaptation epochs must be >= 0, got -1"),
+], ids=["lr-negative", "lr-0", "lr-nan", "lr-inf", "epochs-negative"])
+def test_adapt_mlm_refuses_a_bad_setting_before_any_update(toy_model, lr, epochs, message):
+    params, config, vocab = toy_model
+    params = {k: v.copy() for k, v in params.items()}
+    before = {k: v.tobytes() for k, v in params.items()}
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        adapt_mlm(params, config, vocab, ["the plane flew over the field in 1994"], lr=lr, epochs=epochs)
+    assert {k: v.tobytes() for k, v in params.items()} == before
 
 
 SEMCHANGE_T1 = [

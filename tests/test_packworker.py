@@ -21,7 +21,6 @@ from tempolm.cli import main
 from tempolm.errors import DivergenceError, PackWorkerError, ParseError
 from tempolm.objectives import Objective
 from tempolm.optim import AdamW
-from tempolm.packworker import PackWorker
 from tempolm.pretrain import PretrainSettings, pretrain, train_step
 from tempolm.synth import generate_corpus, generate_event_instances
 
@@ -37,6 +36,14 @@ def _pack(name: str, grad: float, pvars):
     p = pvars[name]
     root = Var(np.asarray(1.0, dtype=p.value.dtype), (p,), lambda g: (np.full(p.shape, grad, dtype=p.value.dtype),))
     return root, {f"pid{os.getpid()}": 1.0}
+
+
+def _every(grad: float, pvars):
+    """Loss 1 whose gradient is ``grad`` on every entry of every parameter."""
+    ps = tuple(pvars.values())
+    root = Var(np.asarray(1.0, dtype=np.float32), ps,
+               lambda g: tuple(np.full(p.shape, grad, dtype=p.value.dtype) for p in ps))
+    return root, {}
 
 
 def _raise(error: Exception, pvars):
@@ -100,16 +107,16 @@ def test_worker_needs_one_blas_thread_and_two_cpus(monkeypatch):
 
 
 @needs_two_cpus
-def test_odd_packs_run_in_the_worker_and_sum_in_pack_order(one_blas_thread):
+def test_odd_packs_run_in_the_worker_and_sum_in_pack_order(one_blas_thread, monkeypatch):
     grads = [1.0, -2.0, 0.5, 3.0, -0.25]
     results = []
     for parallel in (True, False):
+        if not parallel:
+            monkeypatch.setattr(packworker, "usable", lambda: False)
         params = _params()
         optimizer = AdamW(params, lr=0.1)
-        with PackWorker(optimizer) as worker:
-            loss, parts = train_step(params, optimizer, 0, [partial(_pack, "b" if i % 2 else "a", g)
-                                                            for i, g in enumerate(grads)],
-                                     worker if parallel else None)
+        loss, parts = train_step(params, optimizer, 0, [partial(_pack, "b" if i % 2 else "a", g)
+                                                        for i, g in enumerate(grads)])
         results.append((loss, {k: v for k, v in parts.items()}, {k: v.copy() for k, v in params.items()}))
     (loss, parts, params), (serial_loss, serial_parts, serial_params) = results
     assert loss == serial_loss == 5.0
@@ -128,23 +135,22 @@ def test_odd_packs_run_in_the_worker_and_sum_in_pack_order(one_blas_thread):
 def test_worker_error_reaches_the_caller_with_its_type_and_message(one_blas_thread, error):
     params = _params()
     optimizer = AdamW(params, lr=0.1)
-    with PackWorker(optimizer) as worker:
-        with pytest.raises(type(error)) as raised:
-            train_step(params, optimizer, 0, [partial(_pack, "a", 1.0), partial(_raise, error)], worker)
-        assert str(raised.value) == str(error)
-        assert any("pack worker" in note for note in raised.value.__notes__)
-        assert optimizer.t == 0 and multiprocessing.active_children() == []
-        # the next step forks a fresh worker
-        train_step(params, optimizer, 0, [partial(_pack, "a", 1.0), partial(_pack, "b", 1.0)], worker)
-        assert optimizer.t == 1
+    with pytest.raises(type(error)) as raised:
+        train_step(params, optimizer, 0, [partial(_pack, "a", 1.0), partial(_raise, error)])
+    assert str(raised.value) == str(error)
+    assert any("pack worker" in note for note in raised.value.__notes__)
+    assert optimizer.t == 0 and multiprocessing.active_children() == []
+    # the next step forks a fresh worker
+    train_step(params, optimizer, 0, [partial(_pack, "a", 1.0), partial(_pack, "b", 1.0)])
+    assert optimizer.t == 1
 
 
 @needs_two_cpus
 def test_error_that_cannot_be_unpickled_becomes_a_pack_worker_error(one_blas_thread):
     params = _params()
     optimizer = AdamW(params, lr=0.1)
-    with PackWorker(optimizer) as worker, pytest.raises(PackWorkerError, match="_Stubborn: 1/2"):
-        train_step(params, optimizer, 0, [partial(_pack, "a", 1.0), _raise_stubborn], worker)
+    with pytest.raises(PackWorkerError, match="_Stubborn: 1/2"):
+        train_step(params, optimizer, 0, [partial(_pack, "a", 1.0), _raise_stubborn])
 
 
 @needs_two_cpus
@@ -153,24 +159,61 @@ def test_killed_worker_raises_a_typed_error_without_hanging(one_blas_thread):
     optimizer = AdamW(params, lr=0.1)
     before = {k: v.copy() for k, v in params.items()}
     started = time.monotonic()
-    with PackWorker(optimizer) as worker, pytest.raises(PackWorkerError, match="exited with code -9"):
-        train_step(params, optimizer, 0, [partial(_pack, "a", 1.0), _die, partial(_pack, "b", 1.0)], worker)
+    with pytest.raises(PackWorkerError, match="exited with code -9"):
+        train_step(params, optimizer, 0, [partial(_pack, "a", 1.0), _die, partial(_pack, "b", 1.0)])
     assert time.monotonic() - started < 10.0
     assert all(params[k].tobytes() == before[k].tobytes() for k in params)
 
 
 @needs_two_cpus
 def test_step_runs_in_process_when_no_worker_can_be_forked(one_blas_thread, monkeypatch):
-    def no_fork(self):
+    def no_fork():
         raise OSError("Resource temporarily unavailable")
 
-    monkeypatch.setattr(PackWorker, "_start", no_fork)
+    monkeypatch.setattr(packworker, "_start", no_fork)
     params = _params()
     optimizer = AdamW(params, lr=0.1)
-    with PackWorker(optimizer) as worker:
-        _, parts = train_step(params, optimizer, 0, [partial(_pack, "a", 1.0), partial(_pack, "b", 1.0)], worker)
-        assert not worker.enabled
+    _, parts = train_step(params, optimizer, 0, [partial(_pack, "a", 1.0), partial(_pack, "b", 1.0)])
+    assert packworker._proc is None and multiprocessing.active_children() == []
     assert parts == {f"pid{PARENT}": 2.0} and optimizer.t == 1
+
+
+@needs_two_cpus
+def test_fork_failure_is_retried_at_the_next_multi_pack_step(one_blas_thread, monkeypatch):
+    attempts = []
+    start = packworker._start
+
+    def fail_once():
+        attempts.append(1)
+        if len(attempts) == 1:
+            raise OSError("Resource temporarily unavailable")
+        start()
+
+    monkeypatch.setattr(packworker, "_start", fail_once)
+    params = _params()
+    optimizer = AdamW(params, lr=0.1)
+    packs = [partial(_pack, "a", 1.0), partial(_pack, "b", 1.0)]
+    assert train_step(params, optimizer, 0, packs)[1] == {f"pid{PARENT}": 2.0}
+    _, parts = train_step(params, optimizer, 1, packs)
+    assert len(attempts) == 2 and len(parts) == 2 and packworker._proc is not None
+
+
+@pytest.mark.parametrize("parallel", [True, False])
+def test_first_pack_is_copied_into_the_step_sum(one_blas_thread, monkeypatch, parallel):
+    """A first pack's -0.0 stays -0.0 (0.0 + -0.0 is 0.0), and a step's sum does not add to the step before."""
+    if parallel and len(CPUS) < 2:
+        pytest.skip("the worker needs at least 2 usable CPUs")
+    if not parallel:
+        monkeypatch.setattr(packworker, "usable", lambda: False)
+    params = _params()
+    optimizer = AdamW(params, lr=0.1)
+    _, parts = train_step(params, optimizer, 0, [partial(_pack, "a", 1.0), partial(_pack, "b", 1.0)])
+    assert len(parts) == (2 if parallel else 1)
+    assert optimizer.grad.tobytes() == np.ones(7, dtype=np.float32).tobytes()
+    for step in (1, 2):
+        train_step(params, optimizer, step, [partial(_every, -0.0), partial(_every, -0.0), partial(_every, -0.0)])
+        assert optimizer.grad.tobytes() == np.full(7, -0.0, dtype=np.float32).tobytes()
+    assert (packworker._proc is not None) == parallel
 
 
 @pytest.mark.parametrize("parallel", [True, False])
@@ -181,12 +224,11 @@ def test_divergence_in_any_pack_fires_before_the_update(monkeypatch, parallel):
     params = _params()
     optimizer = AdamW(params, lr=0.1)
     packs = [partial(_pack, "a", 1.0), partial(_pack, "b", 1.0)]
-    with PackWorker(optimizer) as worker:
-        _, parts = train_step(params, optimizer, 0, packs, worker)
-        assert len(parts) == (2 if parallel else 1)
-        after_first = {k: v.copy() for k, v in params.items()}
-        with pytest.raises(DivergenceError, match="at step 1: non-finite gradient norm in parameter 'b'"):
-            train_step(params, optimizer, 1, [packs[0], partial(_pack, "b", np.nan), packs[0]], worker)
+    _, parts = train_step(params, optimizer, 0, packs)
+    assert len(parts) == (2 if parallel else 1)
+    after_first = {k: v.copy() for k, v in params.items()}
+    with pytest.raises(DivergenceError, match="at step 1: non-finite gradient norm in parameter 'b'"):
+        train_step(params, optimizer, 1, [packs[0], partial(_pack, "b", np.nan), packs[0]])
     assert optimizer.t == 1
     assert all(params[k].tobytes() == after_first[k].tobytes() for k in params)
     assert multiprocessing.active_children() == []
@@ -195,8 +237,8 @@ def test_divergence_in_any_pack_fires_before_the_update(monkeypatch, parallel):
 @needs_two_cpus
 def test_pretrain_leaves_no_worker_and_no_shared_memory_file(one_blas_thread, monkeypatch):
     starts = []
-    start = PackWorker._start
-    monkeypatch.setattr(PackWorker, "_start", lambda self: (starts.append(1), start(self)))
+    start = packworker._start
+    monkeypatch.setattr(packworker, "_start", lambda: (starts.append(1), start()))
     records = generate_corpus(12, start_year=1999, end_year=2000, seed=2, undated_sentence_rate=0)
     from tempolm.annotate import annotate_document
     from tempolm.corpus import build_entity_calendar, derive_corpus_span
@@ -268,8 +310,8 @@ def _open_fds() -> int:
 @needs_two_cpus
 def test_one_worker_serves_runs_of_different_parameter_counts(one_blas_thread, monkeypatch):
     starts = []
-    start = PackWorker._start
-    monkeypatch.setattr(PackWorker, "_start", lambda self: (starts.append(1), start(self)))
+    start = packworker._start
+    monkeypatch.setattr(packworker, "_start", lambda: (starts.append(1), start()))
     pretrain_run, finetune_run = _tiny_runs()
 
     def three_runs() -> list[tuple]:
@@ -324,10 +366,9 @@ def test_train_step_after_inference_has_the_same_gradients(one_blas_thread):
             head = {"cls.w": np.ones((16, 3), dtype=np.float32), "cls.b": np.zeros(3, dtype=np.float32)}
             FinetunedModel(config, vocab, {**params, **head}, 3).predict_proba(records[0]["text"])
             embed_text(params, config, vocab, records[1]["text"])
-        with PackWorker(optimizer) as worker:
-            train_step(params, optimizer, 0, [partial(pack_loss, [examples[i] for i in pack], len(examples), config)
-                                              for pack in packs], worker)
-            assert worker.enabled
+        train_step(params, optimizer, 0, [partial(pack_loss, [examples[i] for i in pack], len(examples), config)
+                                          for pack in packs])
+        assert packworker._proc is not None
         assert np.any(optimizer.grad != 0)
         return optimizer.grad.tobytes()
 
@@ -341,8 +382,8 @@ _RUN = (
     "os.sched_setaffinity(0, {int(c) for c in sys.argv[1].split(',')})\n"
     "from tempolm import packworker\n"
     "forks = []\n"
-    "start = packworker.PackWorker._start\n"
-    "packworker.PackWorker._start = lambda self: (forks.append(1), start(self))\n"
+    "start = packworker._start\n"
+    "packworker._start = lambda: (forks.append(1), start())\n"
     "from tempolm.cli import main\n"
     "code = main(sys.argv[2:])\n"
     "print(f'forks={len(forks)}', file=sys.stderr)\n"
