@@ -19,10 +19,11 @@ import math
 import os
 import sys
 from collections import Counter
+from contextlib import closing
 
 import numpy as np
 
-from . import __version__
+from . import __version__, packworker
 from .annotate import annotate_document
 from .checkpoint import EncoderCheckpoint, checkpoint_load, checkpoint_save
 from .corpus import (
@@ -41,14 +42,12 @@ from .finetune import DEFAULT_GRID, FinetunedModel, finetune_classifier, model_t
 from .lexicon import SignalLexicon
 from .manifest import ManifestWriter, jsonl_line, parse_config_file, read_json, read_lines, write_atomic
 from .metrics import MetricReport, metric_acc, metric_mae, two_tailed_ttest
-from .objectives import Objective, SamplingRates, build_training_example, example_to_record
+from .objectives import Objective, build_training_example, example_to_record
 from .pretrain import PretrainSettings, pretrain
 from .semchange import adapt_mlm, check_adaptation, evaluate_semantic_change, read_gold_shifts
 from .similarity import estimate_time_scope, year_vocabulary, zero_shot_similarity
 from .timescale import CorpusSpan, Granularity
 from .vocab import Vocabulary, build_vocab
-
-_WORKER_STATE: dict = {}
 
 # config key -> (type, default) of the option it sets; a stage takes the keys it has options for
 CONFIG_OPTIONS: dict[str, tuple[type, int | float]] = {
@@ -85,9 +84,15 @@ def _inputs(args) -> dict[str, InFile]:
 
 
 def _run_stage(body, args) -> int:
-    """Check and hash the input files, record every other option value that is set, and run ``body(args, derived)``.
-    The body adds to ``derived`` the values it works out from the data and returns the paths it wrote; their
-    manifest goes beside the first. A body that wrote nothing gets no manifest."""
+    """Check the options that need no input, check and hash the input files, record every other option value that
+    is set, and run ``body(args, derived)``. The body adds to ``derived`` the values it works out from the data and
+    returns the paths it wrote; their manifest goes beside the first. A body that wrote nothing gets no manifest."""
+    if args.command == "similarity" and args.top < 1:
+        raise ConfigError(f"--top must be >= 1, got {args.top}")
+    if args.command == "eval" and args.task == "semantic-change":
+        check_adaptation(args.adapt_lr, args.adapt_epochs)
+    elif args.command == "eval" and args.runs < 1:
+        raise ConfigError(f"--runs must be >= 1, got {args.runs}")
     config = {key: value for key, value in vars(args).items()
               if key not in ("func", "command") and value is not None and not isinstance(value, (InFile, OutFile))}
     derived: dict = {}
@@ -112,48 +117,31 @@ def _parse_objectives(text: str) -> frozenset[Objective]:
         raise ConfigError(f"unknown objective in {text!r}: {exc}") from None
 
 
-def _annotate_worker(item):
-    lineno, rec = item
-    lexicon = _WORKER_STATE["lexicon"]
-    persons = None
-    if _WORKER_STATE["mode"] == "external":
-        persons = [tuple(p) for p in rec.get("persons") or []]
-        sidecar = _WORKER_STATE["sidecar"]
-        if sidecar is not None:
-            persons = [tuple(p) for p in sidecar.get(rec["id"], persons or [])]
-    try:
-        doc = annotate_document(rec["id"], rec["timestamp"], rec["text"], persons=persons, lexicon=lexicon)
-    except TempoError as exc:
-        exc.args = (f"line {lineno}: {exc}",)
-        raise
-    return jsonl_line(document_to_record(doc))
-
-
-def _init_worker(state):
-    _WORKER_STATE.update(state)
-
-
-def _map_ordered(worker, items, jobs: int, state: dict):
-    _init_worker(state)
-    if jobs <= 1:
-        for item in items:
-            yield worker(item)
-        return
-    import multiprocessing  # besides packworker, the one place that starts processes
-
-    with multiprocessing.Pool(jobs, initializer=_init_worker, initargs=(state,)) as pool:
-        yield from pool.imap(worker, items, chunksize=16)
+def _annotate_lines(lexicon: SignalLexicon, records: list[tuple]) -> list[str]:
+    """The annotated lines of ``(line number, id, timestamp, text, persons)`` records; an error names its line."""
+    lines = []
+    for lineno, doc_id, timestamp, text, persons in records:
+        try:
+            doc = annotate_document(doc_id, timestamp, text, persons=persons, lexicon=lexicon)
+        except TempoError as exc:
+            exc.args = (f"line {lineno}: {exc}",)
+            raise
+        lines.append(jsonl_line(document_to_record(doc)))
+    return lines
 
 
 def cmd_annotate(args, derived) -> list[str]:
     lexicon = SignalLexicon.load(args.lexicon) if args.lexicon else SignalLexicon.default()
-    sidecar = None
+    sidecar = {}
     if args.persons_file:
         sidecar_records = read_task_records(args.persons_file, required=("doc_id", "persons"))
         sidecar = {rec["doc_id"]: rec["persons"] for rec in sidecar_records}
-    state = {"lexicon": lexicon, "mode": args.persons, "sidecar": sidecar}
-    records = read_raw_records(args.in_path, skip_bad=args.skip_bad)
-    count = write_atomic(args.out_path, _map_ordered(_annotate_worker, records, args.jobs, state))
+    records = ((lineno, rec["id"], rec["timestamp"], rec["text"],
+                [tuple(p) for p in sidecar.get(rec["id"], rec.get("persons") or [])]
+                if args.persons == "external" else None)
+               for lineno, rec in read_raw_records(args.in_path, skip_bad=args.skip_bad))
+    with closing(packworker.map_ordered(functools.partial(_annotate_lines, lexicon), records)) as lines:
+        count = write_atomic(args.out_path, lines)  # a failed write closes the map, which stops the worker
     print(f"annotated {count} records -> {args.out_path}")
     return [args.out_path]
 
@@ -185,17 +173,6 @@ def cmd_calendar(args, derived) -> list[str]:
     return [args.out_path]
 
 
-def _examples_worker(doc):
-    state = _WORKER_STATE
-    ex = build_training_example(
-        doc, state["objectives"], state["vocab"],
-        span=state["span"], calendar=state["calendar"], lexicon=state["lexicon"],
-        rates=state["rates"], seed=state["seed"], epoch=state["epoch"],
-        max_len=state["max_len"],
-    )
-    return jsonl_line(example_to_record(ex))
-
-
 def _corpus_setup(args, need_calendar: bool):
     docs = list(read_documents(args.in_path))
     if not docs:
@@ -217,12 +194,10 @@ def _corpus_setup(args, need_calendar: bool):
 def cmd_examples(args, derived) -> list[str]:
     objectives = _parse_objectives(args.objectives)
     docs, span, calendar, vocab = _corpus_setup(args, Objective.TSER in objectives)
-    state = {
-        "objectives": objectives, "vocab": vocab, "span": span, "calendar": calendar,
-        "lexicon": SignalLexicon.default(), "rates": SamplingRates(), "seed": args.seed,
-        "epoch": args.epoch, "max_len": args.max_len,
-    }
-    count = write_atomic(args.out_path, _map_ordered(_examples_worker, docs, args.jobs, state))
+    lexicon = SignalLexicon.default()
+    count = write_atomic(args.out_path, (jsonl_line(example_to_record(build_training_example(
+        doc, objectives, vocab, span=span, calendar=calendar, lexicon=lexicon, seed=args.seed,
+        epoch=args.epoch, max_len=args.max_len))) for doc in docs))
     print(f"{count} training examples -> {args.out_path}")
     return [args.out_path]
 
@@ -339,8 +314,6 @@ def _baseline_accs(args) -> list[float] | None:
 def cmd_eval(args, derived) -> list[str]:
     if args.task == "semantic-change":
         return _eval_semantic_change(args)
-    if args.runs < 1:
-        raise ConfigError(f"--runs must be >= 1, got {args.runs}")
     baseline = _baseline_accs(args)
     _need(args, *(("base_checkpoint", "train", "val", "test") if args.runs > 1 else ("checkpoint", "test")))
     span = CorpusSpan.parse(args.span) if args.span else None
@@ -397,7 +370,6 @@ def _write_report(report: MetricReport, args) -> list[str]:
 
 
 def _eval_semantic_change(args) -> list[str]:
-    check_adaptation(args.adapt_lr, args.adapt_epochs)
     _need(args, "checkpoint", "gold", "corpus_t1", "corpus_t2")
     ckpt = checkpoint_load(args.checkpoint)
     gold = read_gold_shifts(args.gold)
@@ -420,8 +392,6 @@ def _eval_semantic_change(args) -> list[str]:
 
 
 def cmd_similarity(args, derived) -> list[str]:
-    if args.top < 1:
-        raise ConfigError(f"--top must be >= 1, got {args.top}")
     try:
         first, last = (int(y) for y in args.years.split(":"))
     except ValueError:
@@ -498,7 +468,6 @@ def build_parser(defaults: dict[str, str] | None = None) -> argparse.ArgumentPar
     p.add_argument("--persons-file", type=InFile, help="sidecar JSONL with doc_id + persons")
     p.add_argument("--lexicon", type=InFile, help="signal lexicon file (phrase<TAB>CLASS)")
     p.add_argument("--skip-bad", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
 
     p = stage("refine", cmd_refine, "drop sentences without content time")
     p.add_argument("--in", dest="in_path", type=InFile, required=True)
@@ -516,7 +485,6 @@ def build_parser(defaults: dict[str, str] | None = None) -> argparse.ArgumentPar
     p.add_argument("--vocab", type=InFile)
     p.add_argument("--span", help="corpus span START..END")
     p.add_argument("--epoch", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
 
     p = stage("pretrain", cmd_pretrain, "joint multi-task pre-training", *CONFIG_OPTIONS)
     p.add_argument("--in", dest="in_path", type=InFile, required=True)

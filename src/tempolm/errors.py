@@ -59,7 +59,7 @@ class DivergenceError(TempoError):
 
 
 class PackWorkerError(TempoError):
-    """The pack worker process died during a training step, or its error could not be sent back."""
+    """The pack worker process died during a task, or its error could not be sent back."""
 
 
 class IncompatibleCheckpointError(TempoError):

@@ -1,36 +1,24 @@
-"""One forked worker process, per process, that runs half of a training step's packs.
+"""One forked worker process, per process, that computes every other task of its caller.
 
-A step's gradient is the sum of independent per-pack gradients. Every stage
-calls ``pretrain.train_step`` alike, and the worker stays behind it: the
-step hands the odd-numbered packs of a step with at least two packs to the
-worker, as tasks ``task(params, slot) -> (loss, parts)`` that write a pack's
-gradient into one of two shared slots, and runs the even-numbered ones
-itself. The parent adds every pack's gradient strictly in pack order, so
-the sum, and every artifact after it, is byte-identical to one process.
+A task is any picklable callable with a picklable result; the worker answers
+each with ``(result, error)``, so an error keeps its type and message.
+``pretrain.train_step`` hands it every other pack of a step, as tasks
+``task(params, slot) -> (loss, parts)`` that write a gradient into one of two
+shared slots, and adds the gradients in pack order; ``map_ordered`` hands it
+every other chunk of its items and yields the results in input order. Either
+way the output is byte-identical to one process's.
 
-Lifecycle. A process has at most one worker, forked bare at the first step
-with at least two packs and pinned to the last usable CPU (unpinned, it ran
-packs slower and less steadily); every later step of every run reuses it.
-It stops at interpreter exit, when its parent dies (it reads EOF: processes
-forked later drop their copy of the pipe), on ``shutdown()``, and on every
-exception ``train_step`` raises, a ``DivergenceError`` included. The next
-step that needs a worker forks afresh; a step whose fork fails runs in this
-process, and the next multi-pack step tries again.
+The worker is forked bare at its first use, pinned to the last usable CPU
+(unpinned, it ran packs slower and less steadily) and reused until
+interpreter exit, its parent's death (it reads EOF), ``shutdown()``, or any
+exception either caller sees; the next use forks afresh, and a use whose
+fork fails runs here. Each training run sends it, once, the ``memfd``
+descriptors of its parameter buffer and gradient slots.
 
-Buffers. An optimizer's parameter buffer (``shared_zeros``) and its gradient
-slots (``AdamW.grad_slots``, made here at its first multi-pack step and
-freed with it) are ``memfd`` mappings, each keeping its descriptor open as
-long as it lives. Every run sends both descriptors over the pipe at its
-first multi-pack step, and again to a fresh worker after a kill; the worker
-maps them, closes its copies and unmaps the previous run's buffers. Nothing
-appears in ``/dev/shm``. The worker is a copy-on-write fork: it keeps the
-parent's pages as of the fork for as long as it lives.
-
-The worker is used only when at least 2 CPUs are usable and OpenBLAS is
-pinned to one thread (``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``,
-is ``1``): with multi-threaded BLAS two processes oversubscribe the CPUs.
-A fork is safe only in a single-threaded process, so a step also stays in
-one process while any other Python thread runs.
+It is used only when at least 2 CPUs are usable and no other Python thread
+runs (``forkable``); packs also need OpenBLAS pinned to one thread
+(``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, is ``1``), or two
+processes oversubscribe the CPUs (``usable``).
 """
 
 from __future__ import annotations
@@ -46,6 +34,7 @@ import socket
 import threading
 import traceback
 import weakref
+from functools import partial
 from itertools import islice
 from typing import Callable, Iterator, Sequence
 
@@ -55,6 +44,8 @@ from .encoder import Params
 from .errors import PackWorkerError
 
 SLOTS = 2  # gradient slots: the worker computes one task while the parent adds the other
+CHUNK = 64  # items per task of ``map_ordered``
+_BUFFERS = -1  # the slot of a message that announces a run, whose buffers follow as memfds
 
 # this process's worker, the parent's end of its pipe, and the optimizer whose buffers it has mapped
 _proc = None
@@ -103,15 +94,18 @@ def flat_views(flat: np.ndarray, layout: list[tuple[str, tuple[int, ...], int]])
     return {name: flat[start : start + math.prod(shape)].reshape(shape) for name, shape, start in layout}
 
 
+def forkable() -> bool:
+    """At least 2 usable CPUs, and no other Python thread to fork under."""
+    return len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1
+
+
 def usable() -> bool:
-    """At least 2 usable CPUs, OpenBLAS pinned to one thread, and no other Python thread to fork under."""
-    threads = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
-    return (threads is not None and threads.strip() == "1" and len(os.sched_getaffinity(0)) >= 2
-            and threading.active_count() == 1)
+    """``forkable()``, and OpenBLAS pinned to one thread: the worker may run a step's packs."""
+    return os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS", "")).strip() == "1" and forkable()
 
 
 def shutdown(kill: bool = False) -> None:
-    """Stop this process's worker (at once with ``kill``); the next step that needs one forks afresh."""
+    """Stop this process's worker (at once with ``kill``); the next use forks afresh."""
     global _proc, _conn, _holder
     proc, conn = _proc, _conn
     _proc = _conn = _holder = None
@@ -155,11 +149,10 @@ def _start() -> None:
 def begin(optimizer, tasks: Sequence[Callable]) -> set[int]:
     """Hand the odd-numbered ``tasks`` of a step to the worker; returns their indices.
 
-    Each task is ``task(params, slot) -> (loss, parts)`` and writes its
-    gradient into ``slot``, both laid out like ``optimizer``'s parameters.
-    Returns no index, and the step runs in this process, when the worker is
-    not usable, the step has fewer than two tasks, or no process or memfd is
-    to be had.
+    Each task writes its gradient into the slot it is given, laid out like
+    ``optimizer``'s parameters. No index, and the step runs in this process,
+    when the worker is not usable, the step has fewer than two tasks, or no
+    process or memfd is to be had.
     """
     global _holder, _queue, _added
     if len(tasks) < 2 or not usable():
@@ -169,12 +162,10 @@ def begin(optimizer, tasks: Sequence[Callable]) -> set[int]:
         try:
             if optimizer.grad_slots is None:
                 optimizer.grad_slots = shared_zeros(SLOTS * flat.size, flat.dtype).reshape(SLOTS, -1)
-            if _proc is None:
-                _start()
-        except OSError:  # the next multi-pack step tries again
-            shutdown()
+        except OSError:  # no memfd: the next multi-pack step tries again
             return set()
-        _send((None, (optimizer.layout, flat.dtype.str)))
+        if not _hand_out((_BUFFERS, (optimizer.layout, flat.dtype.str))):
+            return set()
         try:
             with socket.fromfd(_conn.fileno(), socket.AF_UNIX, socket.SOCK_STREAM) as sock:
                 socket.send_fds(sock, [b"\0"], [_fd(flat), _fd(optimizer.grad_slots)])
@@ -188,6 +179,44 @@ def begin(optimizer, tasks: Sequence[Callable]) -> set[int]:
     return set(range(1, len(tasks), 2))
 
 
+def map_ordered(fn: Callable[[list], list], items: Iterator) -> Iterator:
+    """Every result of ``fn`` over ``items``, taken ``CHUNK`` at a time, in input order.
+
+    When ``forkable()``, the worker computes every other chunk; this process
+    takes the first, so it forks only when a second exists. ``fn``, the items
+    and the results must pickle. Any exception, and closing the generator
+    early, stops the worker, so that no stale reply stays in its pipe.
+    """
+    chunks = iter(lambda: list(islice(items, CHUNK)), [])
+    away = False  # the worker holds the previous pair's second chunk
+    try:
+        for mine in chunks:
+            theirs = next(chunks, None)
+            if away:
+                yield from _reply()
+            away = theirs is not None and forkable() and _hand_out((None, partial(fn, theirs)))
+            yield from fn(mine)
+            if theirs is not None and not away:
+                yield from fn(theirs)
+        if away:
+            yield from _reply()
+    except BaseException:
+        shutdown(kill=True)
+        raise
+
+
+def _hand_out(message) -> bool:
+    """Send ``message`` to the worker, forked first if need be; ``False`` if the fork fails (the next use retries)."""
+    if _proc is None:
+        try:
+            _start()
+        except OSError:
+            shutdown()
+            return False
+    _send(message)
+    return True
+
+
 def _send(message) -> None:
     try:
         _conn.send(message)
@@ -195,15 +224,21 @@ def _send(message) -> None:
         raise _died() from None
 
 
-def add_next(optimizer) -> tuple[float, dict[str, float]]:
-    """Wait for the worker's next task, add its gradient into ``optimizer.grad``; returns its loss and parts."""
-    global _added
+def _reply():
+    """The result of the worker's next task; the error it sent back is raised."""
     try:
-        loss, parts, error = _conn.recv()
+        result, error = _conn.recv()
     except (EOFError, OSError):
         raise _died() from None
     if error is not None:
         raise error
+    return result
+
+
+def add_next(optimizer) -> tuple[float, dict[str, float]]:
+    """Wait for the worker's next task, add its gradient into ``optimizer.grad``; returns its loss and parts."""
+    global _added
+    loss, parts = _reply()
     np.add(optimizer.grad, optimizer.grad_slots[_added % SLOTS], out=optimizer.grad)
     _added += 1
     for message in islice(_queue, 1):  # into the slot just added
@@ -212,17 +247,14 @@ def add_next(optimizer) -> tuple[float, dict[str, float]]:
 
 
 def _died() -> PackWorkerError:
-    proc = _proc
-    proc.join(1.0)
-    return PackWorkerError(f"pack worker {proc.pid} exited with code {proc.exitcode} during a step")
+    _proc.join(1.0)
+    return PackWorkerError(f"pack worker {_proc.pid} exited with code {_proc.exitcode} during a task")
 
 
 def _serve(conn, cpu: int) -> None:
-    """The worker: run each received task against the current run's buffers, into the given slot.
-
-    A message without a slot announces a run, whose buffers follow as
-    memfds; the previous run's buffers are unmapped with their last views.
-    """
+    """The worker: answer each ``(slot, task)`` with ``(result, error)``. A task without a slot is called bare,
+    a pack's with the current run's parameters and its gradient slot; the slot ``_BUFFERS`` announces a run,
+    whose buffers follow as memfds and replace the previous run's."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
     os.sched_setaffinity(0, {cpu})
     params = slots = None
@@ -233,13 +265,13 @@ def _serve(conn, cpu: int) -> None:
             return
         try:
             slot, task = pickle.loads(message)
-            if slot is None:
+            if slot == _BUFFERS:
                 params = slots = None
                 params, slots = _map_buffers(conn, *task)
                 continue
-            conn.send((*task(params, slots[slot]), None))
+            conn.send((task() if slot is None else task(params, slots[slot]), None))
         except Exception as exc:  # noqa: BLE001 - every failure goes back to the parent
-            conn.send((None, None, _portable(exc)))
+            conn.send((None, _portable(exc)))
 
 
 def _map_buffers(conn, layout, dtype: str) -> tuple[Params, list[Params]]:

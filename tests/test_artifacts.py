@@ -160,8 +160,8 @@ def test_only_write_atomic_writes_files():
     assert [where.split(":")[0] for where in manifest_writes] == ["write_atomic"]
 
 
-def _process_starts(source: str, allowed: str | None = None) -> list[str]:
-    """``function:line`` of every ``multiprocessing`` import and ``os.fork`` use outside the function ``allowed``."""
+def _process_starts(source: str) -> list[str]:
+    """``function:line`` of every ``multiprocessing`` import and ``os.fork`` use."""
     found: list[str] = []
 
     def starts(node: ast.AST) -> bool:
@@ -176,7 +176,7 @@ def _process_starts(source: str, allowed: str | None = None) -> list[str]:
     def visit(node: ast.AST, function: str) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if starts(node) and function != allowed:
+        if starts(node):
             found.append(f"{function}:{node.lineno}")
         for child in ast.iter_child_nodes(node):
             visit(child, function)
@@ -193,19 +193,17 @@ def _process_starts(source: str, allowed: str | None = None) -> list[str]:
     ("def f():\n    import multiprocessing\n", ["f:2"]),
     ("def f():\n    return os.fork()\n", ["f:2"]),
     ("from os import fork\n", ["<module>:1"]),
-    ("def _map_ordered():\n    import multiprocessing\n", []),
+    ("def _map_ordered():\n    import multiprocessing\n", ["_map_ordered:2"]),  # no function is exempt
 ])
 def test_process_guard_detects_process_starts(source, starts):
-    assert _process_starts(source, allowed="_map_ordered") == starts
+    assert _process_starts(source) == starts
 
 
-def test_only_packworker_and_map_ordered_start_processes():
+def test_only_packworker_starts_processes():
     offenders = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "packworker.py":
-            continue
-        allowed = "_map_ordered" if path.name == "cli.py" else None
-        offenders += [f"{path.name}:{where}" for where in _process_starts(path.read_text(encoding="utf-8"), allowed)]
+        if path.name != "packworker.py":
+            offenders += [f"{path.name}:{where}" for where in _process_starts(path.read_text(encoding="utf-8"))]
     assert offenders == []
     assert _process_starts((SRC / "packworker.py").read_text(encoding="utf-8")) != []
 

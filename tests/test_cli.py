@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tempolm import cli, manifest, packworker
 from tempolm.annotate import annotate_document
 from tempolm.checkpoint import EncoderCheckpoint, checkpoint_load, checkpoint_save
 from tempolm.cli import InFile, build_parser, main
@@ -82,11 +84,87 @@ def test_annotate_rerun_identical_checksum(workdir, tmp_path):
     assert sha256_file(a) == sha256_file(b)
 
 
-def test_annotate_parallel_jobs_identical(workdir, tmp_path):
-    serial, parallel = tmp_path / "s.jsonl", tmp_path / "p.jsonl"
-    run("annotate", "--in", workdir / "raw.jsonl", "--out", serial, "--jobs", 1)
-    run("annotate", "--in", workdir / "raw.jsonl", "--out", parallel, "--jobs", 3)
-    assert sha256_file(serial) == sha256_file(parallel)
+needs_two_cpus = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="the worker needs at least 2 usable CPUs")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Each fork of the pack worker during a test, which starts and ends with no worker."""
+    packworker.shutdown()
+    started = []
+    start = packworker._start
+    monkeypatch.setattr(packworker, "_start", lambda: (started.append(1), start()))
+    yield started
+    packworker.shutdown()
+
+
+@needs_two_cpus
+def test_annotate_identical_with_and_without_worker(tmp_path, forks, monkeypatch):
+    records = generate_corpus(2 * packworker.CHUNK + 8, start_year=1999, end_year=2002, seed=8,
+                              undated_sentence_rate=0.2)
+    for rec in records[::3]:
+        word = rec["text"].split(" ", 1)[0]
+        rec["persons"] = [[0, len(word), word]]
+    _write_jsonl(tmp_path / "raw.jsonl", records)
+    # the sidecar overrides the record's persons: with none for some documents, with a span for others
+    _write_jsonl(tmp_path / "side.jsonl", [{"doc_id": r["id"], "persons": [[0, 1, r["text"][0]]] if i % 2 else []}
+                                           for i, r in enumerate(records[::5])])
+    variants = {"heuristic": (), "external": ("--persons", "external", "--persons-file", tmp_path / "side.jsonl")}
+    outputs = {}
+    for worker in (True, False):
+        if not worker:
+            monkeypatch.setattr(packworker, "forkable", lambda: False)
+        for name, extra in variants.items():
+            out = tmp_path / f"{name}-{worker}.jsonl"
+            assert run("annotate", "--in", tmp_path / "raw.jsonl", "--out", out, *extra) == 0
+            outputs[name, worker] = out.read_bytes()
+    assert forks == [1]  # the second run with the worker reuses the first's
+    assert outputs["heuristic", True] == outputs["heuristic", False]
+    assert outputs["external", True] == outputs["external", False] != outputs["heuristic", True]
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("fault", ["worker-record", "truncated-line", "write"])
+def test_annotate_fault_with_a_chunk_at_the_worker_leaves_nothing(tmp_path, forks, monkeypatch, capsys, fault):
+    """The worker holds the second chunk when its own record fails, when the parent reads a truncated line of the
+    third chunk, and when writing fails in the first: each stops the worker and writes nothing, and the next run
+    forks afresh and writes the same bytes as one process."""
+    chunk = packworker.CHUNK
+    lines = [json.dumps(r) + "\n" for r in generate_corpus(4 * chunk, start_year=1999, end_year=2002, seed=8)]
+    (tmp_path / "good.txt").write_text("".join(lines), encoding="utf-8")
+    lineno = {"worker-record": chunk + 6, "truncated-line": 2 * chunk + 6, "write": None}[fault]
+    if fault == "worker-record":
+        lines[lineno - 1] = json.dumps({**json.loads(lines[lineno - 1]), "persons": [[0, 999, "X"]]}) + "\n"
+    elif fault == "truncated-line":
+        lines[lineno - 1] = lines[lineno - 1][:20] + "\n"
+    (tmp_path / "bad.txt").write_text("".join(lines), encoding="utf-8")
+    argv = ("annotate", "--in", tmp_path / "bad.txt", "--out", tmp_path / "ann.jsonl", "--persons", "external")
+    if fault == "write":
+        write_atomic = cli.write_atomic
+
+        def cut(path, parts):  # the disk fills after 10 lines, while the worker holds the second chunk
+            def first_ten():
+                for i, part in enumerate(parts):
+                    if i == 10:
+                        raise OSError("disk full")
+                    yield part
+            return write_atomic(path, first_ten())
+
+        monkeypatch.setattr(cli, "write_atomic", cut)
+        with pytest.raises(OSError, match="disk full"):
+            run(*argv)
+        monkeypatch.setattr(cli, "write_atomic", write_atomic)
+    else:
+        assert run(*argv) == 2
+        assert f"error: line {lineno}: " in capsys.readouterr().err
+    assert forks == [1] and multiprocessing.active_children() == []
+    assert _written(tmp_path) == []
+
+    assert run("annotate", "--in", tmp_path / "good.txt", "--out", tmp_path / "ann.jsonl", "--persons", "external") == 0
+    assert forks == [1, 1]
+    monkeypatch.setattr(packworker, "forkable", lambda: False)
+    assert run("annotate", "--in", tmp_path / "good.txt", "--out", tmp_path / "one.jsonl", "--persons", "external") == 0
+    assert (tmp_path / "ann.jsonl").read_bytes() == (tmp_path / "one.jsonl").read_bytes()
 
 
 def test_annotate_missing_field_is_line_numbered_error(tmp_path, capsys):
@@ -202,18 +280,18 @@ def test_timescope_malformed_line_exits_2_and_writes_nothing(tmp_path, capsys):
     assert sorted(tmp_path.iterdir()) == before
 
 
-def test_examples_deterministic_across_runs_and_jobs(workdir, tmp_path):
+def test_examples_deterministic_across_runs(workdir, tmp_path):
     ref = workdir / "ref.jsonl"
     cal = workdir / "cal.json"
     outs = []
-    for name, jobs in (("e1.jsonl", 1), ("e2.jsonl", 1), ("e3.jsonl", 2)):
+    for name in ("e1.jsonl", "e2.jsonl"):
         out = tmp_path / name
         assert run(
             "examples", "--in", ref, "--calendar", cal, "--out", out,
-            "--objectives", "etamlm,dd,tser", "--seed", 7, "--jobs", jobs,
+            "--objectives", "etamlm,dd,tser", "--seed", 7,
         ) == 0
         outs.append(sha256_file(out))
-    assert outs[0] == outs[1] == outs[2]
+    assert outs[0] == outs[1]
     different = tmp_path / "e4.jsonl"
     run("examples", "--in", ref, "--calendar", cal, "--out", different,
         "--objectives", "etamlm,dd,tser", "--seed", 8)
@@ -656,6 +734,27 @@ def test_similarity_top_below_one_is_config_error(tmp_path, capsys, top):
     assert code == 2
     assert f"--top must be >= 1, got {top}" in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("similarity", "--checkpoint", "c.tlm", "--events", "e.jsonl", "--top", 0), "--top must be >= 1, got 0"),
+    (("eval", "--runs", 0, "--checkpoint", "c.tlm", "--test", "e.jsonl"), "--runs must be >= 1, got 0"),
+    (("eval", "--task", "semantic-change", "--checkpoint", "c.tlm", "--gold", "e.jsonl", "--adapt-lr", 0),
+     "adaptation lr must be finite and > 0, got 0.0"),
+    (("eval", "--task", "semantic-change", "--checkpoint", "c.tlm", "--gold", "e.jsonl", "--adapt-epochs", -1),
+     "adaptation epochs must be >= 0, got -1"),
+], ids=["similarity-top", "eval-runs", "adapt-lr", "adapt-epochs"])
+def test_bad_option_exits_2_before_any_input_is_hashed(tmp_path, monkeypatch, capsys, argv, message):
+    for name in ("c.tlm", "e.jsonl"):
+        (tmp_path / name).write_text("x", encoding="utf-8")
+
+    def hashed(path):
+        raise AssertionError(f"{path} was hashed")
+
+    monkeypatch.setattr(manifest, "sha256_file", hashed)
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def _written(path):

@@ -416,6 +416,9 @@ def test_artifacts_identical_on_one_and_two_cpus(tmp_path):
     records = generate_corpus(30, start_year=1999, end_year=2002, seed=8, undated_sentence_rate=0)
     (tmp_path / "raw.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     assert main(["annotate", "--in", str(tmp_path / "raw.jsonl"), "--out", str(tmp_path / "ann.jsonl")]) == 0
+    # enough records that annotate hands the worker its second chunk
+    records = generate_corpus(2 * packworker.CHUNK + 8, start_year=1999, end_year=2002, seed=9)
+    (tmp_path / "more.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     events = generate_event_instances(40, start_year=1999, end_year=2002, seed=4)
     for name, lo, hi in (("train", 0, 32), ("val", 32, 40)):
         (tmp_path / f"{name}.jsonl").write_text("".join(json.dumps(r) + "\n" for r in events[lo:hi]),
@@ -424,16 +427,20 @@ def test_artifacts_identical_on_one_and_two_cpus(tmp_path):
     for label, cpus in (("one", CPUS[:1]), ("two", CPUS[:2])):
         out = tmp_path / label
         out.mkdir()
-        forks = _cli(cpus, out, "pretrain", "--in", tmp_path / "ann.jsonl", "--out", "model.tlm",
+        forks = _cli(cpus, out, "annotate", "--in", tmp_path / "more.jsonl", "--out", "more.jsonl")
+        forks += _cli(cpus, out, "examples", "--in", "more.jsonl", "--out", "ex.jsonl", "--objectives",
+                      "etamlm,dd,tser", "--seed", 3)
+        forks += _cli(cpus, out, "pretrain", "--in", tmp_path / "ann.jsonl", "--out", "model.tlm",
                      "--steps", 4, "--batch-size", 8, "--grad-accum", 2, "--lr", "1e-3", "--hidden-dim", 32,
                      "--ffn-dim", 48, "--layers", 1, "--max-len", 64, "--seed", 3, "--save-optimizer")
         forks += _cli(cpus, out, "finetune", "--checkpoint", "model.tlm", "--train", tmp_path / "train.jsonl",
                       "--val", tmp_path / "val.jsonl", "--out", "ft.tlm", "--granularity", "year",
                       "--span", "1999..2002", "--grid", "8:1e-3:2,16:2e-3:1", "--seed", 1)
         runs[label] = (forks, _artifacts(out))
-    # pre-training and the batch-16 grid point fork a worker; batch-8 steps here hold one pack
-    assert runs["one"][0] == 0 and runs["two"][0] == 2
-    assert set(runs["one"][1]) == {"model.tlm", "model.tlm.loss.jsonl", "model.tlm.manifest.json",
+    # annotate, pre-training and the batch-16 grid point fork a worker; batch-8 steps here hold one pack
+    assert runs["one"][0] == 0 and runs["two"][0] == 3
+    assert set(runs["one"][1]) == {"more.jsonl", "more.jsonl.manifest.json", "ex.jsonl", "ex.jsonl.manifest.json",
+                                   "model.tlm", "model.tlm.loss.jsonl", "model.tlm.manifest.json",
                                    "ft.tlm", "ft.tlm.manifest.json"}
     assert runs["one"][1] == runs["two"][1]
 
