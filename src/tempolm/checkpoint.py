@@ -2,9 +2,10 @@
 
 Layout: 8-byte magic, little-endian uint64 header length, UTF-8 JSON header
 (format version, encoder config, vocabulary, tensor manifest, step counter),
-then each tensor as little-endian float32 in manifest order, and a trailing
-SHA-256 checksum over everything before it. Saving, loading, and saving
-again produces byte-identical bytes.
+then the parameters' flat buffer (``encoder.param_layout``, sorted names)
+and, if saved, the optimizer's ``m`` and ``v`` in the same layout, all as
+little-endian float32, and a trailing SHA-256 checksum over everything
+before it. Saving, loading, and saving again produces byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoder import EncoderConfig, Params
+from .encoder import EncoderConfig, Params, flat_views, param_layout
 from .errors import ChecksumFailureError, IncompatibleCheckpointError
 from .manifest import write_atomic
 from .vocab import Vocabulary
@@ -32,24 +33,25 @@ class EncoderCheckpoint:
     vocab: Vocabulary
     params: Params
     step: int = 0
-    optimizer: Params | None = None
+    optimizer: tuple[np.ndarray, np.ndarray] | None = None  # AdamW's flat m and v, laid out like the params
     optimizer_step: int = 0
     task: dict | None = None  # fine-tuned head metadata (granularity, span, classes)
 
 
 def _serialize(ckpt: EncoderCheckpoint) -> bytes:
-    tensors: list[tuple[str, np.ndarray]] = [(k, ckpt.params[k]) for k in sorted(ckpt.params)]
-    opt_names: list[str] = []
+    layout, _ = param_layout((k, np.shape(ckpt.params[k])) for k in sorted(ckpt.params))
+    tensors = [[name, list(shape)] for name, shape, _ in layout]
+    flats = [np.ascontiguousarray(ckpt.params[name], dtype="<f4") for name, _, _ in layout]
     if ckpt.optimizer is not None:
-        opt_names = sorted(ckpt.optimizer)
-        tensors.extend((k, ckpt.optimizer[k]) for k in opt_names)
+        tensors += [[f"adam.{key}.{name}", shape] for key in "mv" for name, shape in tensors]
+        flats += [np.asarray(flat, dtype="<f4") for flat in ckpt.optimizer]
     header = {
         "format_version": FORMAT_VERSION,
         "config": ckpt.config.to_json(),
         "vocab": ckpt.vocab.to_json(),
         "step": ckpt.step,
-        "tensors": [[name, list(arr.shape)] for name, arr in tensors],
-        "optimizer_tensors": opt_names,
+        "tensors": tensors,
+        "optimizer_tensors": [name for name, _ in tensors[len(layout) :]],
         "optimizer_step": ckpt.optimizer_step,
         "task": ckpt.task,
     }
@@ -58,8 +60,8 @@ def _serialize(ckpt: EncoderCheckpoint) -> bytes:
     blob += MAGIC
     blob += struct.pack("<Q", len(header_bytes))
     blob += header_bytes
-    for _, arr in tensors:
-        blob += np.ascontiguousarray(arr, dtype="<f4").tobytes()
+    for flat in flats:
+        blob += flat.tobytes()
     blob += hashlib.sha256(bytes(blob)).digest()
     return bytes(blob)
 
@@ -83,20 +85,19 @@ def checkpoint_load(path: str | Path) -> EncoderCheckpoint:
         raise IncompatibleCheckpointError(
             f"{path}: format version {header.get('format_version')!r}, expected {FORMAT_VERSION}"
         )
-    config = EncoderConfig.from_json(header["config"])
+    try:
+        config = EncoderConfig.from_json(header["config"])
+    except TypeError as exc:
+        raise IncompatibleCheckpointError(f"{path}: header field 'config' unreadable by this version: {exc}") from None
     vocab = Vocabulary.from_json(header["vocab"])
+    parts = 3 if header.get("optimizer_tensors") else 1  # the parameters, then m and v
+    layout, size = param_layout(header["tensors"][: len(header["tensors"]) // parts])
     offset = header_start + header_len
-    tensors: Params = {}
-    for name, shape in header["tensors"]:
-        count = int(np.prod(shape)) if shape else 1
-        raw = body[offset : offset + 4 * count]
-        if len(raw) != 4 * count:
-            raise ChecksumFailureError(f"{path}: tensor {name} truncated")
-        tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(config.np_dtype)
-        offset += 4 * count
-    opt_names = set(header.get("optimizer_tensors", []))
-    params = {k: v for k, v in tensors.items() if k not in opt_names}
-    optimizer = {k: tensors[k] for k in sorted(opt_names)} if opt_names else None
+    if len(body) - offset != 4 * parts * size:
+        raise ChecksumFailureError(f"{path}: {len(body) - offset} tensor bytes, the header lists {4 * parts * size}")
+    flat = np.frombuffer(body, dtype="<f4", count=parts * size, offset=offset).astype(config.np_dtype)
+    params = flat_views(flat[:size], layout)
+    optimizer = (flat[size : 2 * size], flat[2 * size :]) if parts > 1 else None
     return EncoderCheckpoint(
         config=config,
         vocab=vocab,

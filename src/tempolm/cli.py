@@ -217,7 +217,7 @@ def cmd_pretrain(args, derived) -> list[str]:
     params, optimizer, logs = pretrain(docs, vocab, enc_config, settings, span=span, calendar=calendar)
     ckpt = EncoderCheckpoint(config=enc_config, vocab=vocab, params=params, step=settings.steps)
     if args.save_optimizer:
-        ckpt.optimizer = optimizer.state_tensors()
+        ckpt.optimizer = (optimizer.m, optimizer.v)
         ckpt.optimizer_step = optimizer.t
     checkpoint_save(ckpt, args.out_path)
     loss_path = f"{args.out_path}.loss.jsonl"
@@ -378,7 +378,7 @@ def _eval_semantic_change(args) -> list[str]:
     params = ckpt.params
     if args.adapt_epochs > 0:
         params = adapt_mlm(
-            {k: v.copy() for k, v in params.items()}, ckpt.config, ckpt.vocab,
+            dict(params), ckpt.config, ckpt.vocab,
             sentences_t1 + sentences_t2, lr=args.adapt_lr, epochs=args.adapt_epochs, seed=args.seed,
         )
     scores, pearson, spearman = evaluate_semantic_change(

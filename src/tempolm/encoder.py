@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -21,6 +21,22 @@ from .autodiff import Var
 from .errors import ConfigError, SequenceTooLongError, SpanBoundsError
 
 Params = dict[str, np.ndarray]
+Layout = list[tuple[str, tuple[int, ...], slice]]
+
+
+def param_layout(shapes: Iterable[tuple[str, Sequence[int]]]) -> tuple[Layout, int]:
+    """One flat buffer for tensors of these names and shapes, in the order given: each one's part, and the size."""
+    layout: Layout = []
+    size = 0
+    for name, shape in shapes:
+        start, size = size, size + math.prod(shape)
+        layout.append((name, tuple(shape), slice(start, size)))
+    return layout, size
+
+
+def flat_views(flat: np.ndarray, layout: Layout) -> Params:
+    """Each tensor's view into ``flat``, a buffer laid out by ``param_layout``."""
+    return {name: flat[part].reshape(shape) for name, shape, part in layout}
 
 
 @dataclass(frozen=True)

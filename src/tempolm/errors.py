@@ -63,7 +63,7 @@ class PackWorkerError(TempoError):
 
 
 class IncompatibleCheckpointError(TempoError):
-    """A checkpoint was written by an incompatible format version."""
+    """A checkpoint has a format version or a header that this version cannot read."""
 
 
 class ChecksumFailureError(TempoError):

@@ -94,7 +94,7 @@ def _train_one(
     epochs: int,
     seed: int,
 ) -> Params:
-    params = {k: v.copy() for k, v in base_params.items()}
+    params = dict(base_params)  # AdamW copies each tensor into its own buffer
     head_rng = example_rng("finetune", seed, "head")
     params["cls.w"] = head_rng.normal(0.0, 0.02, size=(config.hidden_dim, n_classes)).astype(config.np_dtype)
     params["cls.b"] = np.zeros(n_classes, dtype=config.np_dtype)

@@ -1,26 +1,24 @@
 """AdamW with decoupled weight decay and bias-corrected moments.
 
 The optimizer keeps the parameters, their gradient and both moments each in
-one flat buffer, laid out in sorted name order, and rebinds every entry of
-the caller's ``params`` dict to a view of the parameter buffer. The
-parameter buffer is a shared memfd mapping, so the pack worker
-(``packworker``) reads the current weights without a copy; the worker's two
-gradient slots, made at the first step with two packs, belong to the
-optimizer too and are freed with it. One update runs
-over the flat buffers in cache-sized chunks; every value equals that of the
-per-tensor update, because each element sees the same operations in the
-same order.
+one flat buffer, laid out by ``encoder.param_layout`` in sorted name order,
+and rebinds every entry of the caller's ``params`` dict to a view of the
+parameter buffer. The parameter buffer and the pack worker's ``SLOTS``
+gradient slots share one memfd mapping, so the worker (``packworker``)
+reads the current weights without a copy; a slot's pages are touched only
+when the worker writes it, and are freed with the optimizer. The
+checkpoint writes ``m`` and ``v`` as they are. One update runs over the flat
+buffers in cache-sized chunks; every value equals that of the per-tensor
+update, because each element sees the same operations in the same order.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .encoder import Params
+from .encoder import Params, flat_views, param_layout
 from .errors import ConfigError
-from .packworker import flat_views, shared_zeros
+from .packworker import SLOTS, shared_zeros
 
 # elements per chunk of the update: two scratch rows of this size stay in
 # cache (0.83 ms per toy-config update of 277k floats, against 1.1 ms unchunked)
@@ -40,22 +38,17 @@ class AdamW:
         if len(dtypes) > 1:
             raise ConfigError(f"parameters of mixed dtypes {sorted(map(str, dtypes))}")
         dtype = dtypes.pop() if dtypes else np.dtype(np.float32)
-        self.layout: list[tuple[str, tuple[int, ...], int]] = []
-        size = 0
-        for name in sorted(params):
-            shape = np.shape(params[name])
-            self.layout.append((name, shape, size))
-            size += math.prod(shape)
-        self.flat = shared_zeros(size, dtype)
+        self.layout, size = param_layout((name, np.shape(params[name])) for name in sorted(params))
+        self.buffer = shared_zeros((1 + SLOTS) * size, dtype)  # the parameters, then the pack worker's slots
+        self.flat = self.buffer[:size]
+        self.grad_slots = self.buffer[size:].reshape(SLOTS, size)
         self.grad = np.zeros(size, dtype=dtype)
         self.m = np.zeros(size, dtype=dtype)
         self.v = np.zeros(size, dtype=dtype)
-        for name, view in self.views(self.flat).items():
+        for name, view in flat_views(self.flat, self.layout).items():
             view[...] = params[name]
             params[name] = view
-        self.params = params
-        self.grads = self.views(self.grad)
-        self.grad_slots: np.ndarray | None = None  # the pack worker's, made by ``packworker.begin``
+        self.grads = flat_views(self.grad, self.layout)
         self._scratch = np.empty((2, min(size, _CHUNK)), dtype=dtype)
         self.lr = lr
         self.beta1, self.beta2 = betas
@@ -63,15 +56,8 @@ class AdamW:
         self.weight_decay = weight_decay
         self.t = 0
 
-    def views(self, flat: np.ndarray) -> Params:
-        """Each parameter's view into ``flat``, a buffer laid out like the parameters."""
-        return flat_views(flat, self.layout)
-
-    def step(self, grads: Params | None = None) -> None:
-        """One decoupled-decay Adam update from ``grads``, or from the gradient buffer ``self.grad``."""
-        if grads is not None:
-            for name, view in self.grads.items():
-                view[...] = grads[name]
+    def step(self) -> None:
+        """One decoupled-decay Adam update from the gradient buffer ``self.grad``."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1**self.t
@@ -99,11 +85,3 @@ class AdamW:
         if np.isfinite(self.grad).all():
             return None
         return next(name for name, g in self.grads.items() if not np.isfinite(g).all())
-
-    def state_tensors(self) -> Params:
-        m, v = self.views(self.m), self.views(self.v)
-        out: Params = {}
-        for name, _, _ in self.layout:
-            out[f"adam.m.{name}"] = m[name]
-            out[f"adam.v.{name}"] = v[name]
-        return out

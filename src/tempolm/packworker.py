@@ -13,7 +13,8 @@ The worker is forked bare at its first use, pinned to the last usable CPU
 interpreter exit, its parent's death (it reads EOF), ``shutdown()``, or any
 exception either caller sees; the next use forks afresh, and a use whose
 fork fails runs here. Each training run sends it, once, the ``memfd``
-descriptors of its parameter buffer and gradient slots.
+descriptor of its optimizer's buffer, parameters then gradient slots; it
+closes the descriptors it inherited from the fork, but keeps the mappings.
 
 It is used only when at least 2 CPUs are usable and no other Python thread
 runs (``forkable``); packs also need OpenBLAS pinned to one thread
@@ -24,7 +25,6 @@ processes oversubscribe the CPUs (``usable``).
 from __future__ import annotations
 
 import atexit
-import math
 import mmap
 import multiprocessing
 import os
@@ -40,7 +40,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .encoder import Params
+from .encoder import Params, flat_views
 from .errors import PackWorkerError
 
 SLOTS = 2  # gradient slots: the worker computes one task while the parent adds the other
@@ -54,6 +54,7 @@ _holder: weakref.ref | None = None
 # the step's worker tasks not yet sent, each with its slot, and how many results the parent has added
 _queue: Iterator[tuple[int, Callable]] = iter(())
 _added = 0
+_mappings: weakref.WeakSet = weakref.WeakSet()  # every live ``shared_zeros`` mapping of this process
 
 
 class _Memfd(mmap.mmap):
@@ -79,19 +80,8 @@ def shared_zeros(size: int, dtype) -> np.ndarray:
         os.close(fd)
         raise
     mapping.fd = fd
+    _mappings.add(mapping)
     return np.frombuffer(mapping, dtype=dtype)
-
-
-def _fd(array: np.ndarray) -> int:
-    """The memfd under ``array``, a view of a ``shared_zeros`` buffer."""
-    while isinstance(array, np.ndarray):
-        array = array.base
-    return array.obj.fd  # np.frombuffer holds the mapping through a memoryview
-
-
-def flat_views(flat: np.ndarray, layout: list[tuple[str, tuple[int, ...], int]]) -> Params:
-    """Each tensor's view into ``flat``, a buffer laid out as ``(name, shape, start)`` entries."""
-    return {name: flat[start : start + math.prod(shape)].reshape(shape) for name, shape, start in layout}
 
 
 def forkable() -> bool:
@@ -152,26 +142,25 @@ def begin(optimizer, tasks: Sequence[Callable]) -> set[int]:
     Each task writes its gradient into the slot it is given, laid out like
     ``optimizer``'s parameters. No index, and the step runs in this process,
     when the worker is not usable, the step has fewer than two tasks, or no
-    process or memfd is to be had.
+    process is to be had.
     """
     global _holder, _queue, _added
     if len(tasks) < 2 or not usable():
         return set()
     if _holder is None or _holder() is not optimizer:
-        flat = optimizer.flat
-        try:
-            if optimizer.grad_slots is None:
-                optimizer.grad_slots = shared_zeros(SLOTS * flat.size, flat.dtype).reshape(SLOTS, -1)
-        except OSError:  # no memfd: the next multi-pack step tries again
-            return set()
-        if not _hand_out((_BUFFERS, (optimizer.layout, flat.dtype.str))):
+        mapping = optimizer.buffer.base.obj  # np.frombuffer holds the mapping through a memoryview
+        if not _hand_out((_BUFFERS, (optimizer.layout, optimizer.flat.dtype.str))):
             return set()
         try:
             with socket.fromfd(_conn.fileno(), socket.AF_UNIX, socket.SOCK_STREAM) as sock:
-                socket.send_fds(sock, [b"\0"], [_fd(flat), _fd(optimizer.grad_slots)])
+                socket.send_fds(sock, [b"\0"], [mapping.fd])
         except OSError:
             raise _died() from None
         _holder = weakref.ref(optimizer)
+        # views of the parameters may outlive the optimizer: the whole pages of its slots go back with it
+        start = -(-optimizer.flat.nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
+        if start < len(mapping):
+            weakref.finalize(optimizer, mapping.madvise, mmap.MADV_REMOVE, start)
     _queue = ((i % SLOTS, task) for i, task in enumerate(tasks[1::2]))
     _added = 0
     for message in islice(_queue, SLOTS):
@@ -254,7 +243,10 @@ def _died() -> PackWorkerError:
 def _serve(conn, cpu: int) -> None:
     """The worker: answer each ``(slot, task)`` with ``(result, error)``. A task without a slot is called bare,
     a pack's with the current run's parameters and its gradient slot; the slot ``_BUFFERS`` announces a run,
-    whose buffers follow as memfds and replace the previous run's."""
+    whose buffer follows as a memfd and replaces the previous run's."""
+    for mapping in list(_mappings):  # inherited: mmap keeps its own duplicate, closed with the mapping
+        os.close(mapping.fd)
+        mapping.fd = -1
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
     os.sched_setaffinity(0, {cpu})
     params = slots = None
@@ -275,15 +267,14 @@ def _serve(conn, cpu: int) -> None:
 
 
 def _map_buffers(conn, layout, dtype: str) -> tuple[Params, list[Params]]:
-    """Receive a run's parameter buffer and gradient slots as memfds, map them and close the descriptors."""
+    """Receive a run's buffer as a memfd, map it, close the descriptor; the parameters' and each slot's views."""
     with socket.fromfd(conn.fileno(), socket.AF_UNIX, socket.SOCK_STREAM) as sock:
-        fds = socket.recv_fds(sock, 1, 2)[1]
+        (fd,) = socket.recv_fds(sock, 1, 1)[1]
     try:
-        flat, slots = (np.frombuffer(mmap.mmap(fd, os.fstat(fd).st_size), dtype=dtype) for fd in fds)
+        buffer = np.frombuffer(mmap.mmap(fd, os.fstat(fd).st_size), dtype=dtype).reshape(1 + SLOTS, -1)
     finally:
-        for fd in fds:
-            os.close(fd)
-    return flat_views(flat, layout), [flat_views(slot, layout) for slot in slots.reshape(SLOTS, -1)]
+        os.close(fd)
+    return flat_views(buffer[0], layout), [flat_views(slot, layout) for slot in buffer[1:]]
 
 
 def _portable(exc: Exception) -> Exception:

@@ -14,6 +14,7 @@ from tempolm.encoder import (
     EncoderConfig,
     collect_grads,
     encode_forward,
+    flat_views,
     init_params,
     joint_loss,
     multitask_heads,
@@ -240,7 +241,8 @@ def test_doubling_loss_doubles_gradients():
 def test_adamw_zero_grad_no_decay_keeps_params():
     params = {"w": np.array([1.0, -2.0])}
     opt = AdamW(params, lr=0.1, weight_decay=0.0)
-    opt.step({"w": np.zeros(2)})
+    opt.grads["w"][...] = np.zeros(2)
+    opt.step()
     np.testing.assert_array_equal(params["w"], np.array([1.0, -2.0]))
 
 
@@ -252,7 +254,8 @@ def test_adamw_matches_hand_computed_scalar_trace():
     w = 0.5
     m = v = 0.0
     for t, g in enumerate([1.0, -0.5, 0.25], start=1):
-        opt.step({"w": np.array([g])})
+        opt.grads["w"][...] = g
+        opt.step()
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         m_hat = m / (1 - b1**t)
@@ -264,7 +267,8 @@ def test_adamw_matches_hand_computed_scalar_trace():
 def test_adamw_decoupled_decay_shrinks_params():
     params = {"w": np.array([2.0])}
     opt = AdamW(params, lr=0.1, weight_decay=0.5)
-    opt.step({"w": np.zeros(1)})
+    opt.grads["w"][...] = np.zeros(1)
+    opt.step()
     # zero grad: adaptive term is zero, decay shrinks by lr * wd * w
     assert abs(params["w"][0] - (2.0 - 0.1 * 0.5 * 2.0)) < 1e-12
 
@@ -295,12 +299,15 @@ def test_adamw_flat_update_equals_per_tensor_update_bitwise(dtype):
     assert all(np.shares_memory(params[k], opt.flat) for k in params)
     for t in range(1, 4):
         grads = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
-        opt.step(grads)
+        for k, g in grads.items():
+            opt.grads[k][...] = g
+        opt.step()
         _reference_adamw_step(ref, m, v, grads, t, 1e-2, 0.8, 0.95, 1e-6, 0.1)
+    opt_m, opt_v = flat_views(opt.m, opt.layout), flat_views(opt.v, opt.layout)
     for k in shapes:
         assert params[k].tobytes() == ref[k].tobytes()
-        assert opt.state_tensors()[f"adam.m.{k}"].tobytes() == m[k].tobytes()
-        assert opt.state_tensors()[f"adam.v.{k}"].tobytes() == v[k].tobytes()
+        assert opt_m[k].tobytes() == m[k].tobytes()
+        assert opt_v[k].tobytes() == v[k].tobytes()
 
 
 def _gather_rows_adjoint(table, indices, g):
@@ -412,35 +419,104 @@ def test_checkpoint_version_mismatch(tmp_path, monkeypatch):
         checkpoint_load(path)
 
 
-def test_checkpoint_version_1_header_is_incompatible(tmp_path):
-    # a version-1 file: its encoder config still carries the removed dropout rate
-    path = tmp_path / "v1.tlm"
-    checkpoint_save(_toy_checkpoint(), path)
+def _with_header(path, edit) -> None:
+    """Rewrite the checkpoint at ``path`` with ``edit`` applied to its JSON header, under a valid checksum."""
     blob = path.read_bytes()[:-32]
     start = len(ckpt_mod.MAGIC) + 8
     (header_len,) = struct.unpack("<Q", blob[len(ckpt_mod.MAGIC) : start])
     header = json.loads(blob[start : start + header_len])
-    header["format_version"] = 1
-    header["config"]["dropout"] = 0.0
+    edit(header)
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     body = ckpt_mod.MAGIC + struct.pack("<Q", len(header_bytes)) + header_bytes + blob[start + header_len :]
     path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+def test_checkpoint_version_1_header_is_incompatible(tmp_path):
+    # a version-1 file: its encoder config still carries the removed dropout rate
+    path = tmp_path / "v1.tlm"
+    checkpoint_save(_toy_checkpoint(), path)
+    _with_header(path, lambda header: header.update(format_version=1, config={**header["config"], "dropout": 0.0}))
     with pytest.raises(IncompatibleCheckpointError, match="format version 1"):
         checkpoint_load(path)
     assert main(["similarity", "--checkpoint", str(path), "--events", str(tmp_path / "events.jsonl")]) == 2
 
 
-def test_checkpoint_with_optimizer_state(tmp_path):
+@pytest.mark.parametrize("config", [lambda c: {**c, "extra": 1}, list], ids=["extra-key", "list"])
+def test_checkpoint_config_this_version_cannot_read_is_incompatible(tmp_path, config):
+    # a version-2 file whose encoder config this version cannot build
+    path = tmp_path / "odd.tlm"
+    checkpoint_save(_toy_checkpoint(), path)
+    _with_header(path, lambda header: header.update(config=config(header["config"])))
+    with pytest.raises(IncompatibleCheckpointError, match="'config'"):
+        checkpoint_load(path)
+    assert main(["similarity", "--checkpoint", str(path), "--events", str(tmp_path / "events.jsonl")]) == 2
+
+
+def _stepped_checkpoint():
+    """The toy checkpoint after one AdamW step, with the optimizer's moments."""
     ckpt = _toy_checkpoint()
     opt = AdamW(ckpt.params, lr=1e-3)
-    opt.step({k: np.ones_like(v) for k, v in ckpt.params.items()})
-    ckpt.optimizer = opt.state_tensors()
+    opt.grad[...] = np.linspace(-1.0, 1.0, opt.grad.size)
+    opt.step()
+    ckpt.optimizer = (opt.m, opt.v)
     ckpt.optimizer_step = opt.t
+    return ckpt, opt
+
+
+def test_checkpoint_with_optimizer_state(tmp_path):
+    ckpt, opt = _stepped_checkpoint()
     path = tmp_path / "m.tlm"
     checkpoint_save(ckpt, path)
     loaded = checkpoint_load(path)
     assert loaded.optimizer_step == 1
-    assert set(loaded.optimizer) == set(ckpt.optimizer)
+    assert loaded.optimizer[0].tobytes() == opt.m.tobytes()
+    assert loaded.optimizer[1].tobytes() == opt.v.tobytes()
+    assert {k: v.tobytes() for k, v in loaded.params.items()} == {k: v.tobytes() for k, v in ckpt.params.items()}
+
+
+def _reference_checkpoint_bytes(ckpt) -> bytes:
+    """An independent writer of the checkpoint layout: the header, each parameter as <f4 in sorted-name order,
+    every ``adam.m.*`` tensor, every ``adam.v.*`` tensor, then the SHA-256 of all of it."""
+    names = sorted(ckpt.params)
+    tensors = [(k, ckpt.params[k]) for k in names]
+    for key, flat in zip("mv", ckpt.optimizer or ()):
+        pieces = np.split(flat, np.cumsum([ckpt.params[k].size for k in names])[:-1])
+        tensors += [(f"adam.{key}.{k}", piece.reshape(ckpt.params[k].shape)) for k, piece in zip(names, pieces)]
+    header = {
+        "format_version": 2,
+        "config": ckpt.config.to_json(),
+        "vocab": ckpt.vocab.to_json(),
+        "step": ckpt.step,
+        "tensors": [[name, list(arr.shape)] for name, arr in tensors],
+        "optimizer_tensors": [name for name, _ in tensors[len(names):]],
+        "optimizer_step": ckpt.optimizer_step,
+        "task": ckpt.task,
+    }
+    header_bytes = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
+    body = ckpt_mod.MAGIC + struct.pack("<Q", len(header_bytes)) + header_bytes
+    body += b"".join(arr.astype("<f4").tobytes() for _, arr in tensors)
+    return body + hashlib.sha256(body).digest()
+
+
+@pytest.mark.parametrize("with_optimizer", [False, True])
+def test_checkpoint_bytes_match_an_independent_writer(tmp_path, with_optimizer):
+    ckpt = _stepped_checkpoint()[0] if with_optimizer else _toy_checkpoint()
+    ckpt.task = {"classes": ["a", "b"]}
+    path = tmp_path / "m.tlm"
+    checkpoint_save(ckpt, path)
+    assert path.read_bytes() == _reference_checkpoint_bytes(ckpt)
+
+
+def test_checkpoint_with_fewer_tensor_bytes_than_its_header_lists(tmp_path):
+    # a valid checksum over a body that lacks the last tensor's final value
+    ckpt, _ = _stepped_checkpoint()
+    path = tmp_path / "short.tlm"
+    checkpoint_save(ckpt, path)
+    body = path.read_bytes()[:-32 - 4]
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    with pytest.raises(ChecksumFailureError, match="tensor bytes"):
+        checkpoint_load(path)
+    assert main(["similarity", "--checkpoint", str(path), "--events", str(tmp_path / "events.jsonl")]) == 2
 
 
 # -- packed sequences and dtypes ----------------------------------------------

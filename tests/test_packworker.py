@@ -216,6 +216,20 @@ def test_first_pack_is_copied_into_the_step_sum(one_blas_thread, monkeypatch, pa
     assert (packworker._proc is not None) == parallel
 
 
+@needs_two_cpus
+def test_slot_pages_go_back_with_their_optimizer(one_blas_thread):
+    # 16 KiB of parameters, so the slots after them fill whole pages
+    params = {"a": np.ones(4096, dtype=np.float32)}
+    optimizer = AdamW(params, lr=0.1)
+    train_step(params, optimizer, 0, [partial(_pack, "a", 1.0), partial(_pack, "a", 2.0)])
+    slots, weights = optimizer.grad_slots, params["a"].copy()
+    assert slots[0].tolist() == [2.0] * 4096  # the worker's pack
+    del optimizer
+    gc.collect()
+    # the parameters' views keep the mapping, but the slots' pages are gone and read as zeros
+    assert not slots.any() and params["a"].tobytes() == weights.tobytes()
+
+
 @pytest.mark.parametrize("parallel", [True, False])
 def test_divergence_in_any_pack_fires_before_the_update(monkeypatch, parallel):
     if parallel and len(CPUS) < 2:
@@ -307,6 +321,13 @@ def _open_fds() -> int:
     return len(os.listdir("/proc/self/fd"))
 
 
+def _memfds(pid: int) -> tuple[int, int]:
+    """Process ``pid``'s open memfd descriptors, and its distinct memfd mappings (one per inode)."""
+    fds = sum(os.readlink(f"/proc/{pid}/fd/{fd}").startswith("/memfd:") for fd in os.listdir(f"/proc/{pid}/fd"))
+    lines = Path(f"/proc/{pid}/maps").read_text(encoding="utf-8").splitlines()
+    return fds, len({line.split()[4] for line in lines if "/memfd:" in line})
+
+
 @needs_two_cpus
 def test_one_worker_serves_runs_of_different_parameter_counts(one_blas_thread, monkeypatch):
     starts = []
@@ -337,6 +358,9 @@ def test_one_worker_serves_runs_of_different_parameter_counts(one_blas_thread, m
             finetune_run(3 + i, base)
         assert abs(_vm_rss_kib(child) - rss) < 5 * 1024
     assert _open_fds() <= fds
+    # the worker closed the descriptors it inherited: each memfd it holds open backs one of its mappings
+    held, mapped = _memfds(child)
+    assert held <= mapped
     assert packworker._proc.pid == child and starts == [1]
 
 
