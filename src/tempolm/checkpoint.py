@@ -38,13 +38,13 @@ class EncoderCheckpoint:
     task: dict | None = None  # fine-tuned head metadata (granularity, span, classes)
 
 
-def _serialize(ckpt: EncoderCheckpoint) -> bytes:
+def _serialize(ckpt: EncoderCheckpoint) -> list[bytes | memoryview]:  # the flat tensors as views, not copies
     layout, _ = param_layout((k, np.shape(ckpt.params[k])) for k in sorted(ckpt.params))
     tensors = [[name, list(shape)] for name, shape, _ in layout]
     flats = [np.ascontiguousarray(ckpt.params[name], dtype="<f4") for name, _, _ in layout]
     if ckpt.optimizer is not None:
         tensors += [[f"adam.{key}.{name}", shape] for key in "mv" for name, shape in tensors]
-        flats += [np.asarray(flat, dtype="<f4") for flat in ckpt.optimizer]
+        flats += [np.ascontiguousarray(flat, dtype="<f4") for flat in ckpt.optimizer]
     header = {
         "format_version": FORMAT_VERSION,
         "config": ckpt.config.to_json(),
@@ -56,27 +56,23 @@ def _serialize(ckpt: EncoderCheckpoint) -> bytes:
         "task": ckpt.task,
     }
     header_bytes = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<Q", len(header_bytes))
-    blob += header_bytes
-    for flat in flats:
-        blob += flat.tobytes()
-    blob += hashlib.sha256(bytes(blob)).digest()
-    return bytes(blob)
+    parts = [MAGIC, struct.pack("<Q", len(header_bytes)), header_bytes, *(flat.view(np.uint8).data for flat in flats)]
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return [*parts, digest.digest()]
 
 
 def checkpoint_save(ckpt: EncoderCheckpoint, path: str | Path) -> None:
-    write_atomic(path, [_serialize(ckpt)])
+    write_atomic(path, _serialize(ckpt))
 
 
 def checkpoint_load(path: str | Path) -> EncoderCheckpoint:
     blob = Path(path).read_bytes()
     if len(blob) < len(MAGIC) + 8 + 32 or blob[: len(MAGIC)] != MAGIC:
         raise ChecksumFailureError(f"{path}: not a checkpoint file or truncated")
-    digest = blob[-32:]
-    body = blob[:-32]
-    if hashlib.sha256(body).digest() != digest:
+    body = memoryview(blob)[:-32]
+    if hashlib.sha256(body).digest() != blob[-32:]:
         raise ChecksumFailureError(f"{path}: checksum mismatch (truncated or corrupt)")
     (header_len,) = struct.unpack("<Q", blob[len(MAGIC) : len(MAGIC) + 8])
     header_start = len(MAGIC) + 8

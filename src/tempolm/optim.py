@@ -1,24 +1,26 @@
 """AdamW with decoupled weight decay and bias-corrected moments.
 
-The optimizer keeps the parameters, their gradient and both moments each in
-one flat buffer, laid out by ``encoder.param_layout`` in sorted name order,
-and rebinds every entry of the caller's ``params`` dict to a view of the
-parameter buffer. The parameter buffer and the pack worker's ``SLOTS``
-gradient slots share one memfd mapping, so the worker (``packworker``)
-reads the current weights without a copy; a slot's pages are touched only
-when the worker writes it, and are freed with the optimizer. The
-checkpoint writes ``m`` and ``v`` as they are. One update runs over the flat
-buffers in cache-sized chunks; every value equals that of the per-tensor
-update, because each element sees the same operations in the same order.
+The optimizer keeps one memfd mapping, ``[params | grad | m | v | slots]``,
+each part laid out by ``encoder.param_layout`` in sorted name order, and
+rebinds every entry of the caller's ``params`` dict to a view of the first.
+The pack worker (``packworker``) maps the same pages: it reads the weights
+without a copy, writes its packs' gradients into its ``SLOTS`` slots, whose
+pages are touched only then and freed with the optimizer, and runs half of
+each update. The checkpoint writes ``m`` and ``v`` as they are. An update runs
+over the flat buffers in cache-sized chunks; every value equals that of the
+per-tensor update, because each element sees the same operations in the same
+order, whichever process runs it.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
+from . import packworker
 from .encoder import Params, flat_views, param_layout
 from .errors import ConfigError
-from .packworker import SLOTS, shared_zeros
 
 # elements per chunk of the update: two scratch rows of this size stay in
 # cache (0.83 ms per toy-config update of 277k floats, against 1.1 ms unchunked)
@@ -39,17 +41,13 @@ class AdamW:
             raise ConfigError(f"parameters of mixed dtypes {sorted(map(str, dtypes))}")
         dtype = dtypes.pop() if dtypes else np.dtype(np.float32)
         self.layout, size = param_layout((name, np.shape(params[name])) for name in sorted(params))
-        self.buffer = shared_zeros((1 + SLOTS) * size, dtype)  # the parameters, then the pack worker's slots
-        self.flat = self.buffer[:size]
-        self.grad_slots = self.buffer[size:].reshape(SLOTS, size)
-        self.grad = np.zeros(size, dtype=dtype)
-        self.m = np.zeros(size, dtype=dtype)
-        self.v = np.zeros(size, dtype=dtype)
+        self.buffer = packworker.shared_zeros((4 + packworker.SLOTS) * size, dtype)
+        rows = self.buffer.reshape(4 + packworker.SLOTS, size)
+        (self.flat, self.grad, self.m, self.v), self.grad_slots = rows[:4], rows[4:]
         for name, view in flat_views(self.flat, self.layout).items():
             view[...] = params[name]
             params[name] = view
         self.grads = flat_views(self.grad, self.layout)
-        self._scratch = np.empty((2, min(size, _CHUNK)), dtype=dtype)
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
@@ -57,31 +55,41 @@ class AdamW:
         self.t = 0
 
     def step(self) -> None:
-        """One decoupled-decay Adam update from the gradient buffer ``self.grad``."""
+        """One decoupled-decay Adam update from ``self.grad``; a usable pack worker updates the second half."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        bc1 = 1.0 - b1**self.t
-        bc2 = 1.0 - b2**self.t
-        decay = self.lr * self.weight_decay
-        for start in range(0, self.flat.size, _CHUNK):
-            chunk = slice(start, start + _CHUNK)
-            p, g, m, v = self.flat[chunk], self.grad[chunk], self.m[chunk], self.v[chunk]
-            s, u = self._scratch[0, : p.size], self._scratch[1, : p.size]
-            # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
-            np.multiply(m, b1, out=m)
-            np.add(m, np.multiply(g, 1.0 - b1, out=s), out=m)
-            np.multiply(v, b2, out=v)
-            np.multiply(np.multiply(g, 1.0 - b2, out=s), g, out=s)
-            np.add(v, s, out=v)
-            # p -= (lr * m / bc1) / (sqrt(v / bc2) + eps)
-            np.multiply(np.divide(m, bc1, out=s), self.lr, out=s)
-            np.add(np.sqrt(np.divide(v, bc2, out=u), out=u), self.eps, out=u)
-            np.subtract(p, np.divide(s, u, out=s), out=p)
-            if self.weight_decay > 0.0:
-                np.subtract(p, np.multiply(p, decay, out=s), out=p)
+        update = partial(_update, self.t, self.lr, self.beta1, self.beta2, self.eps, self.weight_decay)
+        half, size = self.flat.size // 2, self.flat.size
+        away = packworker.update_half(self, partial(update, half, size))
+        update(0, half if away else size, self.flat, self.grad, self.m, self.v)
+        if away:
+            packworker.result()
 
     def first_nonfinite(self) -> str | None:
         """Name of the first parameter, in sorted order, whose gradient holds a non-finite entry."""
         if np.isfinite(self.grad).all():
             return None
         return next(name for name, g in self.grads.items() if not np.isfinite(g).all())
+
+
+def _update(t: int, lr: float, b1: float, b2: float, eps: float, weight_decay: float, start: int, stop: int,
+            params: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray) -> None:
+    """The update of elements ``start:stop`` of the flat buffers, at step ``t``, in place."""
+    bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+    decay = lr * weight_decay
+    scratch = np.empty((2, min(stop - start, _CHUNK)), dtype=params.dtype)
+    for lo in range(start, stop, _CHUNK):
+        chunk = slice(lo, min(lo + _CHUNK, stop))
+        p, g, mc, vc = params[chunk], grad[chunk], m[chunk], v[chunk]
+        s, u = scratch[0, : p.size], scratch[1, : p.size]
+        # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
+        np.multiply(mc, b1, out=mc)
+        np.add(mc, np.multiply(g, 1.0 - b1, out=s), out=mc)
+        np.multiply(vc, b2, out=vc)
+        np.multiply(np.multiply(g, 1.0 - b2, out=s), g, out=s)
+        np.add(vc, s, out=vc)
+        # p -= (lr * m / bc1) / (sqrt(v / bc2) + eps)
+        np.multiply(np.divide(mc, bc1, out=s), lr, out=s)
+        np.add(np.sqrt(np.divide(vc, bc2, out=u), out=u), eps, out=u)
+        np.subtract(p, np.divide(s, u, out=s), out=p)
+        if weight_decay > 0.0:
+            np.subtract(p, np.multiply(p, decay, out=s), out=p)

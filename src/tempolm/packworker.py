@@ -1,23 +1,24 @@
-"""One forked worker process, per process, that computes every other task of its caller.
+"""One forked worker process, per process, that takes a share of its caller's work.
 
 A task is any picklable callable with a picklable result; the worker answers
 each with ``(result, error)``, so an error keeps its type and message.
-``pretrain.train_step`` hands it every other pack of a step, as tasks
+``pretrain.train_step`` hands it a share of a step's packs by cost, as tasks
 ``task(params, slot) -> (loss, parts)`` that write a gradient into one of two
-shared slots, and adds the gradients in pack order; ``map_ordered`` hands it
-every other chunk of its items and yields the results in input order. Either
-way the output is byte-identical to one process's.
+shared slots, and adds the gradients in pack order; ``AdamW.step`` hands it
+half of the update; ``map_ordered`` hands it every other chunk of its items
+and yields the results in input order. The output is byte-identical to one
+process's, whichever process ran which task.
 
 The worker is forked bare at its first use, pinned to the last usable CPU
 (unpinned, it ran packs slower and less steadily) and reused until
 interpreter exit, its parent's death (it reads EOF), ``shutdown()``, or any
 exception either caller sees; the next use forks afresh, and a use whose
 fork fails runs here. Each training run sends it, once, the ``memfd``
-descriptor of its optimizer's buffer, parameters then gradient slots; it
+descriptor of its optimizer's buffer, ``[params | grad | m | v | slots]``; it
 closes the descriptors it inherited from the fork, but keeps the mappings.
 
 It is used only when at least 2 CPUs are usable and no other Python thread
-runs (``forkable``); packs also need OpenBLAS pinned to one thread
+runs (``forkable``); training also needs OpenBLAS pinned to one thread
 (``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, is ``1``), or two
 processes oversubscribe the CPUs (``usable``).
 """
@@ -40,12 +41,13 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .encoder import Params, flat_views
+from .encoder import flat_views
 from .errors import PackWorkerError
 
 SLOTS = 2  # gradient slots: the worker computes one task while the parent adds the other
 CHUNK = 64  # items per task of ``map_ordered``
-_BUFFERS = -1  # the slot of a message that announces a run, whose buffers follow as memfds
+_BUFFERS = -1  # the slot of a message that announces a run, whose buffer follows as a memfd
+_UPDATE = -2  # the slot of a task called with the run's flat parameters, gradient, m and v
 
 # this process's worker, the parent's end of its pipe, and the optimizer whose buffers it has mapped
 _proc = None
@@ -136,21 +138,15 @@ def _start() -> None:
     _proc = proc
 
 
-def begin(optimizer, tasks: Sequence[Callable]) -> set[int]:
-    """Hand the odd-numbered ``tasks`` of a step to the worker; returns their indices.
-
-    Each task writes its gradient into the slot it is given, laid out like
-    ``optimizer``'s parameters. No index, and the step runs in this process,
-    when the worker is not usable, the step has fewer than two tasks, or no
-    process is to be had.
-    """
-    global _holder, _queue, _added
-    if len(tasks) < 2 or not usable():
-        return set()
+def _attach(optimizer, *messages) -> bool:
+    """Send ``messages`` once the worker, forked if need be, maps ``optimizer``'s buffer; ``False`` if it cannot."""
+    global _holder
+    if not usable() or not optimizer.flat.size:
+        return False
     if _holder is None or _holder() is not optimizer:
         mapping = optimizer.buffer.base.obj  # np.frombuffer holds the mapping through a memoryview
         if not _hand_out((_BUFFERS, (optimizer.layout, optimizer.flat.dtype.str))):
-            return set()
+            return False
         try:
             with socket.fromfd(_conn.fileno(), socket.AF_UNIX, socket.SOCK_STREAM) as sock:
                 socket.send_fds(sock, [b"\0"], [mapping.fd])
@@ -158,14 +154,45 @@ def begin(optimizer, tasks: Sequence[Callable]) -> set[int]:
             raise _died() from None
         _holder = weakref.ref(optimizer)
         # views of the parameters may outlive the optimizer: the whole pages of its slots go back with it
-        start = -(-optimizer.flat.nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
+        start = -(-4 * optimizer.flat.nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
         if start < len(mapping):
             weakref.finalize(optimizer, mapping.madvise, mmap.MADV_REMOVE, start)
-    _queue = ((i % SLOTS, task) for i, task in enumerate(tasks[1::2]))
-    _added = 0
-    for message in islice(_queue, SLOTS):
+    for message in messages:
         _send(message)
-    return set(range(1, len(tasks), 2))
+    return True
+
+
+def begin(optimizer, tasks: Sequence[Callable], costs: Sequence[float], other: float = 0.0) -> list[bool]:
+    """Share a step's ``tasks`` out by cost, send the worker its first; for each task, whether the worker runs it.
+
+    This process also has ``other`` work, in the unit of ``costs``. Of the splits where it takes a prefix and at most
+    one later task, held until the worker's before it are added, and the one giving each task in turn to the process
+    with less work so far, the one whose longer side costs least wins, then the one leaving this process less. None
+    goes to the worker if it is not usable, there are fewer than two tasks, or no process is to be had.
+    """
+    global _queue, _added
+    n = len(tasks)
+    load, greedy = [0.0, 0.0], []
+    for cost in costs:
+        greedy.append(load[1] < load[0])
+        load[greedy[-1]] += cost
+
+    def rank(remote: list[bool]) -> tuple[float, float]:
+        theirs = [cost for cost, away in zip(costs, remote) if away]
+        mine = other + sum(costs) - sum(theirs)
+        # a split adds no worker task before its own are done, so the worker waits once its SLOTS are full
+        return max(mine, sum(theirs), 0.0 if remote is greedy else mine - other + sum(theirs[SLOTS:])), mine
+
+    remote = min([[k <= i != j for i in range(n)] for k in range(n, -1, -1) for j in (n, *range(k + 1, n))] + [greedy],
+                 key=rank)
+    _queue = ((i % SLOTS, task) for i, task in enumerate(t for t, away in zip(tasks, remote) if away))
+    _added = 0
+    return remote if n > 1 and _attach(optimizer, *islice(_queue, SLOTS)) else [False] * n
+
+
+def update_half(optimizer, task: Callable) -> bool:
+    """Hand the worker ``task``, called with ``optimizer``'s flat buffers, for ``result()``; ``False`` if it cannot."""
+    return _attach(optimizer, (_UPDATE, task))
 
 
 def map_ordered(fn: Callable[[list], list], items: Iterator) -> Iterator:
@@ -182,13 +209,13 @@ def map_ordered(fn: Callable[[list], list], items: Iterator) -> Iterator:
         for mine in chunks:
             theirs = next(chunks, None)
             if away:
-                yield from _reply()
+                yield from result()
             away = theirs is not None and forkable() and _hand_out((None, partial(fn, theirs)))
             yield from fn(mine)
             if theirs is not None and not away:
                 yield from fn(theirs)
         if away:
-            yield from _reply()
+            yield from result()
     except BaseException:
         shutdown(kill=True)
         raise
@@ -213,7 +240,7 @@ def _send(message) -> None:
         raise _died() from None
 
 
-def _reply():
+def result():
     """The result of the worker's next task; the error it sent back is raised."""
     try:
         result, error = _conn.recv()
@@ -224,11 +251,17 @@ def _reply():
     return result
 
 
-def add_next(optimizer) -> tuple[float, dict[str, float]]:
-    """Wait for the worker's next task, add its gradient into ``optimizer.grad``; returns its loss and parts."""
+def add_next(optimizer, first: bool, wait: bool = True) -> tuple[float, dict[str, float]] | None:
+    """Add (if ``first``, copy) the worker's next pack gradient into ``optimizer.grad``; its loss and parts."""
     global _added
-    loss, parts = _reply()
-    np.add(optimizer.grad, optimizer.grad_slots[_added % SLOTS], out=optimizer.grad)
+    if not (wait or _conn.poll()):  # not done yet
+        return None
+    loss, parts = result()
+    slot = optimizer.grad_slots[_added % SLOTS]
+    if first:  # copied, not added: 0.0 + -0.0 is 0.0
+        np.copyto(optimizer.grad, slot)
+    else:
+        np.add(optimizer.grad, slot, out=optimizer.grad)
     _added += 1
     for message in islice(_queue, 1):  # into the slot just added
         _send(message)
@@ -241,15 +274,14 @@ def _died() -> PackWorkerError:
 
 
 def _serve(conn, cpu: int) -> None:
-    """The worker: answer each ``(slot, task)`` with ``(result, error)``. A task without a slot is called bare,
-    a pack's with the current run's parameters and its gradient slot; the slot ``_BUFFERS`` announces a run,
-    whose buffer follows as a memfd and replaces the previous run's."""
+    """The worker: answer each ``(slot, task)`` with ``(result, error)``. A task without a slot is called bare, a
+    pack's with the run's parameters and its gradient slot, an update's with the run's flat buffers."""
     for mapping in list(_mappings):  # inherited: mmap keeps its own duplicate, closed with the mapping
         os.close(mapping.fd)
         mapping.fd = -1
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
     os.sched_setaffinity(0, {cpu})
-    params = slots = None
+    rows = params = slots = None
     while True:
         try:
             message = conn.recv_bytes()
@@ -257,24 +289,20 @@ def _serve(conn, cpu: int) -> None:
             return
         try:
             slot, task = pickle.loads(message)
-            if slot == _BUFFERS:
-                params = slots = None
-                params, slots = _map_buffers(conn, *task)
+            if slot == _BUFFERS:  # the run's buffer, [params | grad | m | v | slots], follows as a memfd
+                rows = params = slots = None
+                with socket.fromfd(conn.fileno(), socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+                    (fd,) = socket.recv_fds(sock, 1, 1)[1]
+                try:  # the mapping keeps its own duplicate of the descriptor
+                    rows = np.frombuffer(mmap.mmap(fd, os.fstat(fd).st_size), dtype=task[1]).reshape(4 + SLOTS, -1)
+                finally:
+                    os.close(fd)
+                params, slots = flat_views(rows[0], task[0]), [flat_views(row, task[0]) for row in rows[4:]]
                 continue
-            conn.send((task() if slot is None else task(params, slots[slot]), None))
+            out = task() if slot is None else task(*rows[:4]) if slot == _UPDATE else task(params, slots[slot])
+            conn.send((out, None))
         except Exception as exc:  # noqa: BLE001 - every failure goes back to the parent
             conn.send((None, _portable(exc)))
-
-
-def _map_buffers(conn, layout, dtype: str) -> tuple[Params, list[Params]]:
-    """Receive a run's buffer as a memfd, map it, close the descriptor; the parameters' and each slot's views."""
-    with socket.fromfd(conn.fileno(), socket.AF_UNIX, socket.SOCK_STREAM) as sock:
-        (fd,) = socket.recv_fds(sock, 1, 1)[1]
-    try:
-        buffer = np.frombuffer(mmap.mmap(fd, os.fstat(fd).st_size), dtype=dtype).reshape(1 + SLOTS, -1)
-    finally:
-        os.close(fd)
-    return flat_views(buffer[0], layout), [flat_views(slot, layout) for slot in buffer[1:]]
 
 
 def _portable(exc: Exception) -> Exception:

@@ -2,22 +2,23 @@
 
 Examples are generated dynamically per epoch (fresh masking stream per
 (document, epoch) pair), losses averaged over the effective batch, and
-parameters updated with AdamW. Each optimizer step builds all
-``batch_size * grad_accum`` of its examples, drops the target-free ones and
-packs the rest, in stream order, into sequences of at most
-``config.pack_len`` tokens, one forward and backward pass per pack. The loss
-stays a mean within each example, then a mean over the step's examples, and
-the packs do not depend on how the step splits into micro-batches.
-``train_step`` is the optimizer step; fine-tuning and period adaptation use
-it with their own pack losses.
+parameters updated with AdamW. Each optimizer step takes the stream's next
+``batch_size * grad_accum`` examples, mostly built while the step before
+waited for the pack worker, drops the target-free ones and packs the rest, in
+stream order, into sequences of at most ``config.pack_len`` tokens, one
+forward and backward pass per pack. The loss stays a mean within each
+example, then a mean over the step's examples, and the packs do not depend on
+how the step splits into micro-batches. ``train_step`` is the optimizer step;
+fine-tuning and period adaptation use it with their own pack losses.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .encoder import (
     Params,
     collect_grads,
     encode_forward,
+    flat_views,
     init_params,
     joint_loss,
     multitask_heads,
@@ -172,56 +174,102 @@ def pretrain(
     if params is None:
         params = init_params(config)
     optimizer = AdamW(params, lr=settings.lr, betas=settings.betas, weight_decay=settings.weight_decay)
-    stream = _example_stream(docs, settings, vocab, span, calendar, lexicon, config.max_len)
-    logs: list[StepLog] = []
     per_step = settings.batch_size * settings.grad_accum
+    ahead = _Ahead(_example_stream(docs, settings, vocab, span, calendar, lexicon, config.max_len), per_step)
+    logs: list[StepLog] = []
 
     for step in range(settings.steps):
-        examples = [ex for ex in (next(stream) for _ in range(per_step)) if _has_targets(ex)]
+        while ahead.left:  # what the step before did not build while it waited
+            ahead.build()
+        examples = [ex for ex in ahead.built if _has_targets(ex)]
+        ahead.built, ahead.left = [], per_step if step + 1 < settings.steps else 0
         n_eff = max(len(examples), 1)
         packs = pack_sequences([len(ex.input_ids) for ex in examples], config.pack_len)
         loss, parts = train_step(params, optimizer, step, [
             partial(pack_loss, [examples[i] for i in pack], n_eff, config) for pack in packs
-        ])
+        ], [sum(len(examples[i].input_ids) for i in pack) for pack in packs], ahead)
         logs.append(StepLog(step=step, loss=loss, parts=parts))
     return params, optimizer, logs
+
+
+class _Ahead:
+    """The next step's examples, ``left`` to build while this process waits, and its timings to price them by."""
+
+    def __init__(self, stream: Iterator[TrainingExample] = iter(()), left: int = 0):
+        self.stream, self.left, self.built = stream, left, []
+        self.build_s = self.pack_s = self.builds = self.pack_tokens = 0  # seconds and counts: building, own packs
+
+    def build(self) -> None:
+        started = time.perf_counter()
+        self.built.append(next(self.stream))
+        self.build_s += time.perf_counter() - started
+        self.builds += 1
+        self.left -= 1
 
 
 def train_step(
     params: Params, optimizer: AdamW, step: int,
     pack_losses: Sequence[Callable[[dict[str, Var]], tuple[Var, dict[str, float]]]],
+    tokens: Sequence[int] | None = None, ahead: _Ahead | None = None,
 ) -> tuple[float, dict[str, float]]:
     """One optimizer step: the summed gradients of every pack's loss, then AdamW.
 
     Each of ``pack_losses`` takes freshly wrapped parameters and returns the
     loss of one pack and its per-head parts; the step's loss and parts are
-    their sums. The gradients are summed in pack order into the optimizer's
-    flat gradient buffer; when the pack worker is usable, it computes every
-    other pack of a step with at least two, and the sum is the same to the
-    bit. A non-finite loss or gradient raises ``DivergenceError`` before the
-    update, so ``params`` are left as they were. Every error stops the
-    worker, so a failed run leaves no process behind and the next step that
-    needs one forks afresh.
+    their sums. ``packworker.begin`` shares the packs out by ``tokens`` (equal
+    if not given) and the examples ``ahead`` has left, built while this process
+    waits. Gradients are summed in pack order, the first copied, so the bytes do
+    not depend on who ran what. A non-finite loss or gradient raises
+    ``DivergenceError`` before the update, so ``params`` stay as they were.
+    Every error stops the worker; the next step forks afresh.
     """
-    loss = 0.0
-    parts_sum: dict[str, float] = {}
-    try:
-        remote = packworker.begin(optimizer, [partial(pack_gradient, loss_of) for loss_of in pack_losses])
-        for j, loss_of in enumerate(pack_losses):
-            if j in remote:
-                total, parts = packworker.add_next(optimizer)
+    ahead = ahead or _Ahead()
+    done: list[tuple[float, dict[str, float]]] = []  # loss and parts of each pack summed so far, in pack order
+    held = None  # (index, loss and parts, flat gradient) of this process's pack that waits for a worker pack before it
+
+    def catch_up(until: int, wait: bool) -> None:  # with ``wait``, build while the worker's packs are not done
+        nonlocal held
+        while len(done) < until:
+            if held is not None and held[0] == len(done):
+                np.add(optimizer.grad, held[2], out=optimizer.grad)
+                done.append(held[1])
+                held = None
+            elif (pack := packworker.add_next(optimizer, not done, wait=wait and not ahead.left)) is not None:
+                done.append(pack)
+            elif wait:
+                ahead.build()
             else:
-                total, parts = pack_gradient(loss_of, params, optimizer.grads, add=j > 0)
+                return
+
+    try:
+        left = ahead.left * ahead.build_s / ahead.builds * ahead.pack_tokens / ahead.pack_s if ahead.pack_s else 0.0
+        remote = packworker.begin(optimizer, [partial(pack_gradient, loss_of) for loss_of in pack_losses],
+                                  tokens or [1] * len(pack_losses), left)  # the examples left, in pack tokens
+        for j, loss_of in enumerate(pack_losses):
+            if remote[j]:
+                continue
+            catch_up(j, wait=held is not None)  # one held pack at a time
+            started = time.perf_counter()
+            if len(done) == j:
+                done.append(pack_gradient(loss_of, params, optimizer.grads, add=j > 0))
+            else:
+                scratch = np.empty_like(optimizer.grad)
+                held = (j, pack_gradient(loss_of, params, flat_views(scratch, optimizer.layout)), scratch)
+            ahead.pack_s += time.perf_counter() - started
+            ahead.pack_tokens += tokens[j] if tokens else 1
+        catch_up(len(pack_losses), wait=True)
+        if not pack_losses:  # no pack: the update still decays the moments and weights
+            optimizer.grad.fill(0.0)
+        loss, parts_sum = 0.0, {}
+        for total, parts in done:
             loss += total
             for k, v in parts.items():
                 parts_sum[k] = parts_sum.get(k, 0.0) + v
-        if not pack_losses:  # no pack: the update still decays the moments and weights
-            optimizer.grad.fill(0.0)
         _check_finite(step, loss, parts_sum, optimizer)
+        optimizer.step()
     except BaseException:
-        packworker.shutdown(kill=True)  # its pipe may also hold the aborted step
+        packworker.shutdown(kill=True)  # its pipe may also hold the aborted step or update
         raise
-    optimizer.step()
     return loss, parts_sum
 
 

@@ -107,23 +107,56 @@ def test_worker_needs_one_blas_thread_and_two_cpus(monkeypatch):
 
 
 @needs_two_cpus
-def test_odd_packs_run_in_the_worker_and_sum_in_pack_order(one_blas_thread, monkeypatch):
-    grads = [1.0, -2.0, 0.5, 3.0, -0.25]
-    results = []
+@pytest.mark.parametrize("tokens", [[1, 1], [3, 1], [1, 3, 1], [1, 4, 1, 1], [1] * 5, [5, 1, 1, 1, 1, 1], [1] * 8],
+                         ids=["pw", "wp", "pwp", "pwpp", "ppwww", "pwwwww", "pwpwpwpw"])
+def test_packs_shared_by_cost_sum_in_pack_order(one_blas_thread, monkeypatch, tokens):
+    """Whichever process runs which pack (the ids name the split), the steps equal the serial run's to the bit."""
+    grads = [1.0, -2.0, 0.5, 3.0, -0.25, 4.0, -1.5, 2.5][: len(tokens)]
+    steps = [  # the second step's -0.0 stays -0.0 only if its first pack is copied, wherever that pack ran
+        [partial(_pack, "b" if i % 2 else "a", g) for i, g in enumerate(grads)],
+        [partial(_every, -0.0) for _ in grads],
+        [partial(_pack, "a" if i % 2 else "b", -g) for i, g in enumerate(grads)],
+    ]
+    runs = []
     for parallel in (True, False):
         if not parallel:
             monkeypatch.setattr(packworker, "usable", lambda: False)
         params = _params()
         optimizer = AdamW(params, lr=0.1)
-        loss, parts = train_step(params, optimizer, 0, [partial(_pack, "b" if i % 2 else "a", g)
-                                                        for i, g in enumerate(grads)])
-        results.append((loss, {k: v for k, v in parts.items()}, {k: v.copy() for k, v in params.items()}))
-    (loss, parts, params), (serial_loss, serial_parts, serial_params) = results
-    assert loss == serial_loss == 5.0
-    assert parts[f"pid{PARENT}"] == 3.0 and sorted(parts.values()) == [2.0, 3.0]
-    assert serial_parts == {f"pid{PARENT}": 5.0}
-    for name in params:
-        assert params[name].tobytes() == serial_params[name].tobytes()
+        run = []
+        for step, packs in enumerate(steps):
+            loss, parts = train_step(params, optimizer, step, packs, tokens)
+            state = optimizer.buffer[: 4 * 7].tobytes()  # the parameters, gradient, m and v
+            run.append((loss, sum(parts.values()), len(parts), optimizer.grad.tobytes(), state))
+        runs.append(run)
+    for step, ((loss, total, ran, grad, state), (serial_loss, serial_total, _, serial_grad, serial_state)) in enumerate(
+            zip(*runs)):
+        assert loss == serial_loss and total == serial_total
+        assert grad == serial_grad and state == serial_state
+        assert ran == (0 if step == 1 else 2)  # both processes ran a pack of each step
+    assert runs[0][1][3] == np.full(7, -0.0, dtype=np.float32).tobytes()
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+def test_update_split_with_the_worker_equals_the_update_in_process(one_blas_thread, monkeypatch, dtype, weight_decay):
+    rng = np.random.default_rng(3)
+    shapes = {"a": (3,), "w": (400, 401)}  # an odd count, and each half longer than an update chunk
+    start = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+    grads = [rng.normal(size=160_403).astype(dtype) for _ in range(4)]
+    runs = []
+    for parallel in (True, False):
+        if not parallel:
+            monkeypatch.setattr(packworker, "usable", lambda: False)
+        optimizer = AdamW(dict(start), lr=1e-2, betas=(0.8, 0.95), eps=1e-6, weight_decay=weight_decay)
+        for g in grads:
+            optimizer.grad[...] = g
+            optimizer.step()
+        assert (packworker._proc is not None) == parallel
+        runs.append([optimizer.flat.tobytes(), optimizer.m.tobytes(), optimizer.v.tobytes()])
+        packworker.shutdown()
+    assert runs[0] == runs[1]
 
 
 @needs_two_cpus
@@ -222,12 +255,14 @@ def test_slot_pages_go_back_with_their_optimizer(one_blas_thread):
     params = {"a": np.ones(4096, dtype=np.float32)}
     optimizer = AdamW(params, lr=0.1)
     train_step(params, optimizer, 0, [partial(_pack, "a", 1.0), partial(_pack, "a", 2.0)])
-    slots, weights = optimizer.grad_slots, params["a"].copy()
+    buffer, slots = optimizer.buffer, optimizer.grad_slots
+    state = buffer[: 4 * 4096].tobytes()  # the parameters, gradient, m and v
     assert slots[0].tolist() == [2.0] * 4096  # the worker's pack
+    assert optimizer.grad.tolist() == [3.0] * 4096 and optimizer.m.all()
     del optimizer
     gc.collect()
-    # the parameters' views keep the mapping, but the slots' pages are gone and read as zeros
-    assert not slots.any() and params["a"].tobytes() == weights.tobytes()
+    # views keep the mapping: the slots' pages are gone and read as zeros, the pages before them stay
+    assert not slots.any() and buffer[: 4 * 4096].tobytes() == state
 
 
 @pytest.mark.parametrize("parallel", [True, False])

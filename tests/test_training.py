@@ -1,9 +1,12 @@
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tempolm import autodiff as ad
+from tempolm import packworker
+from tempolm import pretrain as pretrain_module
 from tempolm.annotate import annotate_document
 from tempolm.checkpoint import EncoderCheckpoint
 from tempolm.corpus import build_entity_calendar, derive_corpus_span, refine_corpus, split_dataset
@@ -78,6 +81,22 @@ def test_pretrain_deterministic(tiny_setup):
     assert [l.loss for l in logs1] == [l.loss for l in logs2]
     for name in p1:
         np.testing.assert_array_equal(p1[name], p2[name])
+
+
+@pytest.mark.parametrize("parallel", [True, False], ids=["worker-on", "worker-off"])
+def test_pretrain_builds_each_example_once(tiny_setup, monkeypatch, parallel):
+    """Each step's examples are built during the step before; no example past the last step is built."""
+    docs, span, calendar, vocab, config = tiny_setup
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1" if parallel else "2")
+    packworker.shutdown()  # a worker an earlier test left running
+    calls = []
+    build = pretrain_module.build_training_example
+    monkeypatch.setattr(pretrain_module, "build_training_example", lambda *a, **k: (calls.append(1), build(*a, **k))[1])
+    settings = PretrainSettings(objectives=frozenset(Objective), seed=2, steps=3, batch_size=8, grad_accum=2, lr=1e-3)
+    pretrain(docs, vocab, config, settings, span=span, calendar=calendar)
+    assert len(calls) == 3 * 8 * 2
+    assert (packworker._proc is not None) == (parallel and len(os.sched_getaffinity(0)) >= 2)
+    packworker.shutdown()
 
 
 def test_pretrain_requires_objectives():
