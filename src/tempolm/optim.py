@@ -4,12 +4,11 @@ The optimizer keeps one memfd mapping, ``[params | grad | m | v | slots]``,
 each part laid out by ``encoder.param_layout`` in sorted name order, and
 rebinds every entry of the caller's ``params`` dict to a view of the first.
 The pack worker (``packworker``) maps the same pages: it reads the weights
-without a copy, writes its packs' gradients into its ``SLOTS`` slots, whose
-pages are touched only then and freed with the optimizer, and runs half of
-each update. The checkpoint writes ``m`` and ``v`` as they are. An update runs
-over the flat buffers in cache-sized chunks; every value equals that of the
-per-tensor update, because each element sees the same operations in the same
-order, whichever process runs it.
+without a copy, writes packs' gradients into its ``SLOTS`` slots (pages touched
+only then, freed with the optimizer) and runs half of each update. The
+checkpoint writes ``m`` and ``v`` as they are. An update runs over the flat
+buffers in cache-sized chunks; each value equals the per-tensor update's, as
+each element sees the same operations in the same order in either process.
 """
 
 from __future__ import annotations
@@ -48,6 +47,7 @@ class AdamW:
             view[...] = params[name]
             params[name] = view
         self.grads = flat_views(self.grad, self.layout)
+        self.spare = np.empty(size, dtype=dtype)  # a gradient ``train_step`` holds until its turn in the sum
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps

@@ -252,9 +252,10 @@ def result():
 
 
 def add_next(optimizer, first: bool, wait: bool = True) -> tuple[float, dict[str, float]] | None:
-    """Add (if ``first``, copy) the worker's next pack gradient into ``optimizer.grad``; its loss and parts."""
+    """Add (if ``first``, copy) the worker's next pack gradient into ``optimizer.grad``; its loss and parts, or
+    ``None`` if it is not done and not ``wait``."""
     global _added
-    if not (wait or _conn.poll()):  # not done yet
+    if not (wait or _conn.poll()):
         return None
     loss, parts = result()
     slot = optimizer.grad_slots[_added % SLOTS]

@@ -225,13 +225,13 @@ def train_step(
     """
     ahead = ahead or _Ahead()
     done: list[tuple[float, dict[str, float]]] = []  # loss and parts of each pack summed so far, in pack order
-    held = None  # (index, loss and parts, flat gradient) of this process's pack that waits for a worker pack before it
+    held = None  # (index, loss and parts) of this process's pack that waits, in ``optimizer.spare``, for a worker pack
 
     def catch_up(until: int, wait: bool) -> None:  # with ``wait``, build while the worker's packs are not done
         nonlocal held
         while len(done) < until:
             if held is not None and held[0] == len(done):
-                np.add(optimizer.grad, held[2], out=optimizer.grad)
+                np.add(optimizer.grad, optimizer.spare, out=optimizer.grad)
                 done.append(held[1])
                 held = None
             elif (pack := packworker.add_next(optimizer, not done, wait=wait and not ahead.left)) is not None:
@@ -252,9 +252,8 @@ def train_step(
             started = time.perf_counter()
             if len(done) == j:
                 done.append(pack_gradient(loss_of, params, optimizer.grads, add=j > 0))
-            else:
-                scratch = np.empty_like(optimizer.grad)
-                held = (j, pack_gradient(loss_of, params, flat_views(scratch, optimizer.layout)), scratch)
+            else:  # held in the one spare gradient
+                held = (j, pack_gradient(loss_of, params, flat_views(optimizer.spare, optimizer.layout)))
             ahead.pack_s += time.perf_counter() - started
             ahead.pack_tokens += tokens[j] if tokens else 1
         catch_up(len(pack_losses), wait=True)
