@@ -62,6 +62,10 @@ class PackWorkerError(TempoError):
     """The pack worker process died during a task, or its error could not be sent back."""
 
 
+class StaleOptimizerError(TempoError):
+    """An optimizer was used after a later one claimed the arena that holds its buffers."""
+
+
 class IncompatibleCheckpointError(TempoError):
     """A checkpoint has a format version or a header that this version cannot read."""
 

@@ -94,7 +94,7 @@ def _train_one(
     epochs: int,
     seed: int,
 ) -> Params:
-    params = dict(base_params)  # AdamW copies each tensor into its own buffer
+    params = dict(base_params)  # AdamW rebinds its entries to views of the arena, copy_out to copies
     head_rng = example_rng("finetune", seed, "head")
     params["cls.w"] = head_rng.normal(0.0, 0.02, size=(config.hidden_dim, n_classes)).astype(config.np_dtype)
     params["cls.b"] = np.zeros(n_classes, dtype=config.np_dtype)
@@ -111,7 +111,7 @@ def _train_one(
                         1.0 / len(batch), config)
                 for pack in packs
             ])
-    return params
+    return optimizer.copy_out(params)
 
 
 def _cls_loss(

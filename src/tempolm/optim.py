@@ -1,12 +1,12 @@
 """AdamW with decoupled weight decay and bias-corrected moments.
 
-The optimizer keeps one memfd mapping, ``[params | grad | m | v | slots]``,
-each part laid out by ``encoder.param_layout`` in sorted name order, and
-rebinds every entry of the caller's ``params`` dict to a view of the first.
-The pack worker (``packworker``) maps the same pages: it reads the weights
-without a copy, writes packs' gradients into its ``SLOTS`` slots (pages touched
-only then, freed with the optimizer) and runs half of each update. The
-checkpoint writes ``m`` and ``v`` as they are. An update runs over the flat
+The optimizer claims the first part of this process's arena
+(``packworker.claim``), ``[params | grad | m | v | slots]``, each part laid out
+by ``encoder.param_layout`` in sorted name order, and rebinds every entry of
+the caller's ``params`` dict to a view of the first. The pack worker maps the
+same pages. The next claim reuses them, so a run takes its weights out with
+``copy_out``; an optimizer whose claim was taken raises ``StaleOptimizerError``.
+The checkpoint writes ``m`` and ``v`` as they are. An update runs over the flat
 buffers in cache-sized chunks; each value equals the per-tensor update's, as
 each element sees the same operations in the same order in either process.
 """
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import packworker
 from .encoder import Params, flat_views, param_layout
-from .errors import ConfigError
+from .errors import ConfigError, StaleOptimizerError
 
 # elements per chunk of the update: two scratch rows of this size stay in
 # cache (0.83 ms per toy-config update of 277k floats, against 1.1 ms unchunked)
@@ -40,11 +40,13 @@ class AdamW:
             raise ConfigError(f"parameters of mixed dtypes {sorted(map(str, dtypes))}")
         dtype = dtypes.pop() if dtypes else np.dtype(np.float32)
         self.layout, size = param_layout((name, np.shape(params[name])) for name in sorted(params))
-        self.buffer = packworker.shared_zeros((4 + packworker.SLOTS) * size, dtype)
+        # an entry still in the arena, from an earlier optimizer, is copied before the claim reuses its pages
+        kept = {name: np.array(v) for name, v in params.items() if np.may_share_memory(v, packworker.arena)}
+        self.buffer, self.claim = packworker.claim((4 + packworker.SLOTS) * size, dtype)
         rows = self.buffer.reshape(4 + packworker.SLOTS, size)
         (self.flat, self.grad, self.m, self.v), self.grad_slots = rows[:4], rows[4:]
         for name, view in flat_views(self.flat, self.layout).items():
-            view[...] = params[name]
+            view[...] = kept.get(name, params[name])
             params[name] = view
         self.grads = flat_views(self.grad, self.layout)
         self.spare = np.empty(size, dtype=dtype)  # a gradient ``train_step`` holds until its turn in the sum
@@ -56,6 +58,7 @@ class AdamW:
 
     def step(self) -> None:
         """One decoupled-decay Adam update from ``self.grad``; a usable pack worker updates the second half."""
+        self.own()
         self.t += 1
         update = partial(_update, self.t, self.lr, self.beta1, self.beta2, self.eps, self.weight_decay)
         half, size = self.flat.size // 2, self.flat.size
@@ -63,6 +66,19 @@ class AdamW:
         update(0, half if away else size, self.flat, self.grad, self.m, self.v)
         if away:
             packworker.result()
+
+    def own(self) -> None:
+        """Raise ``StaleOptimizerError`` if a later optimizer has claimed the arena: the buffers are its now."""
+        if self.claim != packworker.claims:
+            raise StaleOptimizerError(f"optimizer of claim {self.claim} used after claim {packworker.claims}")
+
+    def copy_out(self, params: Params) -> Params:
+        """Rebind every entry of ``params`` to a copy of its weights out of the arena, and return ``params``; the
+        slots' pages go back to the system first, so the copy adds no peak memory."""
+        self.own()
+        packworker.give_back(4 * self.flat.nbytes)
+        params.update(flat_views(self.flat.copy(), self.layout))
+        return params
 
     def first_nonfinite(self) -> str | None:
         """Name of the first parameter, in sorted order, whose gradient holds a non-finite entry."""

@@ -1,4 +1,4 @@
-"""One forked worker process, per process, that takes a share of its caller's work.
+"""One forked worker process, per process, that takes a share of its caller's work, and the arena of its runs.
 
 A task is any picklable callable with a picklable result; the worker answers
 each with ``(result, error)``, so an error keeps its type and message.
@@ -9,13 +9,16 @@ half of the update; ``map_ordered`` hands it every other chunk of its items
 and yields the results in input order. The output is byte-identical to one
 process's, whichever process ran which task.
 
+The arena is one anonymous shared mapping per process, inherited by a worker
+at its fork. A training run's optimizer claims its first part, ``[params |
+grad | m | v | slots]``, after the previous run's pages go back to the system
+(``MADV_REMOVE``); a run sends the worker only its layout, dtype and size.
+
 The worker is forked bare at its first use, pinned to the last usable CPU
 (unpinned, it ran packs slower and less steadily) and reused until
-interpreter exit, its parent's death (it reads EOF), ``shutdown()``, or any
-exception either caller sees; the next use forks afresh, and a use whose
-fork fails runs here. Each training run sends it, once, the ``memfd``
-descriptor of its optimizer's buffer, ``[params | grad | m | v | slots]``; it
-closes the descriptors it inherited from the fork, but keeps the mappings.
+interpreter exit, its parent's death (it reads EOF), ``shutdown()``, a growth
+of the arena, or any exception either caller sees; the next use forks afresh,
+and a use whose fork fails runs here.
 
 It is used only when at least 2 CPUs are usable and no other Python thread
 runs (``forkable``); training also needs OpenBLAS pinned to one thread
@@ -31,10 +34,8 @@ import multiprocessing
 import os
 import pickle
 import signal
-import socket
 import threading
 import traceback
-import weakref
 from functools import partial
 from itertools import islice
 from typing import Callable, Iterator, Sequence
@@ -46,44 +47,40 @@ from .errors import PackWorkerError
 
 SLOTS = 2  # gradient slots: the worker computes one task while the parent adds the other
 CHUNK = 64  # items per task of ``map_ordered``
-_BUFFERS = -1  # the slot of a message that announces a run, whose buffer follows as a memfd
+_CLAIM = -1  # the slot of a message that gives the layout, dtype and size of the arena's new claim
 _UPDATE = -2  # the slot of a task called with the run's flat parameters, gradient, m and v
 
-# this process's worker, the parent's end of its pipe, and the optimizer whose buffers it has mapped
+# this process's worker, the parent's end of its pipe, and the number of the claim the worker has been sent
 _proc = None
 _conn = None
-_holder: weakref.ref | None = None
+_told = 0
 # the step's worker tasks not yet sent, each with its slot, and how many results the parent has added
 _queue: Iterator[tuple[int, Callable]] = iter(())
 _added = 0
-_mappings: weakref.WeakSet = weakref.WeakSet()  # every live ``shared_zeros`` mapping of this process
+# this process's arena, shared with a worker forked after it was made, and the number of claims made on it so far
+arena = mmap.mmap(-1, mmap.PAGESIZE)
+claims = 0
 
 
-class _Memfd(mmap.mmap):
-    """A shared mapping of a memfd whose descriptor stays open as long as the mapping lives."""
+def claim(count: int, dtype: np.dtype) -> tuple[np.ndarray, int]:
+    """The arena's first ``count`` elements of ``dtype``, all zero, for a new run, and the claim's number.
 
-    fd = -1
+    The previous claim's pages go back first. An arena too small is replaced, and the worker, which maps it, stops.
+    """
+    global arena, claims
+    give_back(0)  # views of the arena may outlive it: they read zeros
+    if count * dtype.itemsize > len(arena):
+        shutdown()
+        arena = mmap.mmap(-1, count * dtype.itemsize)
+    claims += 1
+    return np.frombuffer(arena, dtype, count), claims
 
-    def __del__(self) -> None:
-        if self.fd >= 0:
-            os.close(self.fd)
 
-
-def shared_zeros(size: int, dtype) -> np.ndarray:
-    """A zeroed flat array in a memfd mapping, which the pack worker can map at any time."""
-    dtype = np.dtype(dtype)
-    if size == 0:
-        return np.zeros(0, dtype=dtype)
-    fd = os.memfd_create("tempolm", os.MFD_CLOEXEC)
-    try:
-        os.ftruncate(fd, size * dtype.itemsize)
-        mapping = _Memfd(fd, size * dtype.itemsize)
-    except BaseException:
-        os.close(fd)
-        raise
-    mapping.fd = fd
-    _mappings.add(mapping)
-    return np.frombuffer(mapping, dtype=dtype)
+def give_back(nbytes: int) -> None:
+    """Return the arena's whole pages past its first ``nbytes`` to the system; they read as zeros."""
+    start = -(-nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
+    if start < len(arena):
+        arena.madvise(mmap.MADV_REMOVE, start)
 
 
 def forkable() -> bool:
@@ -98,9 +95,9 @@ def usable() -> bool:
 
 def shutdown(kill: bool = False) -> None:
     """Stop this process's worker (at once with ``kill``); the next use forks afresh."""
-    global _proc, _conn, _holder
+    global _proc, _conn, _told
     proc, conn = _proc, _conn
-    _proc = _conn = _holder = None
+    _proc, _conn, _told = None, None, 0
     if proc is not None and kill:
         proc.kill()
     if conn is not None:
@@ -115,10 +112,10 @@ def shutdown(kill: bool = False) -> None:
 
 def _forget() -> None:
     """In a forked child: the worker is the parent's, and its pipe must close when the parent dies."""
-    global _proc, _conn, _holder
+    global _proc, _conn, _told
     if _conn is not None:
         _conn.close()
-    _proc = _conn = _holder = None
+    _proc, _conn, _told = None, None, 0
 
 
 atexit.register(shutdown)
@@ -126,7 +123,7 @@ os.register_at_fork(after_in_child=_forget)
 
 
 def _start() -> None:
-    """Fork the worker, bare: each run sends it its buffers."""
+    """Fork the worker, bare: it maps the arena as of the fork, and each run sends it its claim."""
     global _proc, _conn
     ctx = multiprocessing.get_context("fork")
     _conn, child_end = ctx.Pipe()
@@ -139,24 +136,14 @@ def _start() -> None:
 
 
 def _attach(optimizer, *messages) -> bool:
-    """Send ``messages`` once the worker, forked if need be, maps ``optimizer``'s buffer; ``False`` if it cannot."""
-    global _holder
+    """Send ``messages`` once the worker, forked if need be, maps ``optimizer``'s claim; ``False`` if it cannot."""
+    global _told
     if not usable() or not optimizer.flat.size:
         return False
-    if _holder is None or _holder() is not optimizer:
-        mapping = optimizer.buffer.base.obj  # np.frombuffer holds the mapping through a memoryview
-        if not _hand_out((_BUFFERS, (optimizer.layout, optimizer.flat.dtype.str))):
+    if _told != optimizer.claim:
+        if not _hand_out((_CLAIM, (optimizer.layout, optimizer.flat.dtype.str, optimizer.buffer.size))):
             return False
-        try:
-            with socket.fromfd(_conn.fileno(), socket.AF_UNIX, socket.SOCK_STREAM) as sock:
-                socket.send_fds(sock, [b"\0"], [mapping.fd])
-        except OSError:
-            raise _died() from None
-        _holder = weakref.ref(optimizer)
-        # views of the parameters may outlive the optimizer: the whole pages of its slots go back with it
-        start = -(-4 * optimizer.flat.nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
-        if start < len(mapping):
-            weakref.finalize(optimizer, mapping.madvise, mmap.MADV_REMOVE, start)
+        _told = optimizer.claim
     for message in messages:
         _send(message)
     return True
@@ -277,9 +264,6 @@ def _died() -> PackWorkerError:
 def _serve(conn, cpu: int) -> None:
     """The worker: answer each ``(slot, task)`` with ``(result, error)``. A task without a slot is called bare, a
     pack's with the run's parameters and its gradient slot, an update's with the run's flat buffers."""
-    for mapping in list(_mappings):  # inherited: mmap keeps its own duplicate, closed with the mapping
-        os.close(mapping.fd)
-        mapping.fd = -1
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
     os.sched_setaffinity(0, {cpu})
     rows = params = slots = None
@@ -290,14 +274,8 @@ def _serve(conn, cpu: int) -> None:
             return
         try:
             slot, task = pickle.loads(message)
-            if slot == _BUFFERS:  # the run's buffer, [params | grad | m | v | slots], follows as a memfd
-                rows = params = slots = None
-                with socket.fromfd(conn.fileno(), socket.AF_UNIX, socket.SOCK_STREAM) as sock:
-                    (fd,) = socket.recv_fds(sock, 1, 1)[1]
-                try:  # the mapping keeps its own duplicate of the descriptor
-                    rows = np.frombuffer(mmap.mmap(fd, os.fstat(fd).st_size), dtype=task[1]).reshape(4 + SLOTS, -1)
-                finally:
-                    os.close(fd)
+            if slot == _CLAIM:  # the run's [params | grad | m | v | slots], in the arena inherited at the fork
+                rows = np.frombuffer(arena, task[1], task[2]).reshape(4 + SLOTS, -1)
                 params, slots = flat_views(rows[0], task[0]), [flat_views(row, task[0]) for row in rows[4:]]
                 continue
             out = task() if slot is None else task(*rows[:4]) if slot == _UPDATE else task(params, slots[slot])

@@ -168,7 +168,7 @@ def pretrain(
     lexicon: SignalLexicon | None = None,
     params: Params | None = None,
 ) -> tuple[Params, AdamW, list[StepLog]]:
-    """Run ``settings.steps`` optimizer steps; returns params and loss log."""
+    """Run ``settings.steps`` optimizer steps; returns the params (copies), the optimizer and the loss log."""
     if not docs:
         raise ConfigError("pre-training requires a non-empty corpus")
     if params is None:
@@ -189,7 +189,7 @@ def pretrain(
             partial(pack_loss, [examples[i] for i in pack], n_eff, config) for pack in packs
         ], [sum(len(examples[i].input_ids) for i in pack) for pack in packs], ahead)
         logs.append(StepLog(step=step, loss=loss, parts=parts))
-    return params, optimizer, logs
+    return optimizer.copy_out(params), optimizer, logs
 
 
 class _Ahead:
@@ -223,6 +223,7 @@ def train_step(
     ``DivergenceError`` before the update, so ``params`` stay as they were.
     Every error stops the worker; the next step forks afresh.
     """
+    optimizer.own()
     ahead = ahead or _Ahead()
     done: list[tuple[float, dict[str, float]]] = []  # loss and parts of each pack summed so far, in pack order
     held = None  # (index, loss and parts) of this process's pack that waits, in ``optimizer.spare``, for a worker pack

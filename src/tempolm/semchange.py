@@ -168,7 +168,7 @@ def adapt_mlm(
             actions = {content[idx]: mask_action(rng) for idx in picked}
             corrupted, targets = apply_mask_policy(ids, actions, vocab, rng)
             train_step(params, optimizer, optimizer.t, [partial(_mlm_loss, corrupted, targets, config)])
-    return params
+    return optimizer.copy_out(params)
 
 
 def _mlm_loss(

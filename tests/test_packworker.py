@@ -18,7 +18,7 @@ import pytest
 from tempolm import packworker
 from tempolm.autodiff import Var
 from tempolm.cli import main
-from tempolm.errors import DivergenceError, PackWorkerError, ParseError
+from tempolm.errors import DivergenceError, PackWorkerError, ParseError, StaleOptimizerError
 from tempolm.objectives import Objective
 from tempolm.optim import AdamW
 from tempolm.pretrain import PretrainSettings, pretrain, train_step
@@ -250,19 +250,56 @@ def test_first_pack_is_copied_into_the_step_sum(one_blas_thread, monkeypatch, pa
 
 
 @needs_two_cpus
-def test_slot_pages_go_back_with_their_optimizer(one_blas_thread):
-    # 16 KiB of parameters, so the slots after them fill whole pages
-    params = {"a": np.ones(4096, dtype=np.float32)}
-    optimizer = AdamW(params, lr=0.1)
-    train_step(params, optimizer, 0, [partial(_pack, "a", 1.0), partial(_pack, "a", 2.0)])
-    buffer, slots = optimizer.buffer, optimizer.grad_slots
-    state = buffer[: 4 * 4096].tobytes()  # the parameters, gradient, m and v
-    assert slots[0].tolist() == [2.0] * 4096  # the worker's pack
-    assert optimizer.grad.tolist() == [3.0] * 4096 and optimizer.m.all()
-    del optimizer
-    gc.collect()
-    # views keep the mapping: the slots' pages are gone and read as zeros, the pages before them stay
-    assert not slots.any() and buffer[: 4 * 4096].tobytes() == state
+def test_a_claim_after_a_run_reuses_the_arena_zeroed(one_blas_thread):
+    """The next optimizer maps the same pages, which read zeros, and 20 runs leave no more shared memory than one."""
+
+    def run() -> AdamW:
+        # 16 KiB of parameters, so the slots after them fill whole pages
+        params = {"a": np.ones(4096, dtype=np.float32)}
+        optimizer = AdamW(params, lr=0.1)
+        train_step(params, optimizer, 0, [partial(_pack, "a", 1.0), partial(_pack, "a", 2.0)])
+        return optimizer
+
+    first = run()
+    assert first.grad_slots[0].tolist() == [2.0] * 4096  # the worker's pack
+    assert first.grad.tolist() == [3.0] * 4096 and first.m.all()
+    arena, rss = packworker.arena, _status_kib("self", "RssShmem")
+    second = AdamW({"a": np.ones(4096, dtype=np.float32)}, lr=0.1)
+    assert packworker.arena is arena and np.shares_memory(first.buffer, second.buffer)
+    assert second.flat.all() and not second.buffer[4096:].any()
+    for _ in range(20):
+        run()
+    assert packworker.arena is arena and _status_kib("self", "RssShmem") <= rss
+
+
+@needs_two_cpus
+def test_an_optimizer_whose_claim_was_taken_raises_and_writes_nothing(one_blas_thread):
+    params = _params()
+    stale = AdamW(params, lr=0.1)
+    packs = [partial(_pack, "a", 1.0), partial(_pack, "b", 1.0)]
+    train_step(params, stale, 0, packs)
+    later = AdamW(_params(), lr=0.1)
+    later.grad[...] = 1.0
+    arena = packworker.arena[:]
+    with pytest.raises(StaleOptimizerError, match=f"claim {stale.claim} used after claim {later.claim}"):
+        stale.step()
+    with pytest.raises(StaleOptimizerError):
+        train_step(params, stale, 1, packs)
+    with pytest.raises(StaleOptimizerError):
+        stale.copy_out(params)
+    assert packworker.arena[:] == arena and stale.t == 1
+    later.step()  # the optimizer that holds the claim still steps
+    assert later.t == 1 and packworker.arena[:] != arena
+
+
+def test_an_optimizer_made_on_views_of_the_arena_starts_from_their_weights():
+    params = _params()
+    first = AdamW(params, lr=0.1)
+    first.grad[...] = 1.0
+    first.step()
+    before = {k: v.copy() for k, v in params.items()}
+    second = AdamW(params, lr=0.1)  # its claim reuses the pages the entries are views of
+    assert all(params[k].tobytes() == before[k].tobytes() for k in before) and not second.m.any()
 
 
 @pytest.mark.parametrize("parallel", [True, False])
@@ -308,11 +345,13 @@ def test_pretrain_leaves_no_worker_and_no_shared_memory_file(one_blas_thread, mo
 
 
 def _tiny_runs():
-    """A small pre-training run and a one-point fine-tuning run (two more tensors), as closures of a seed."""
+    """A small pre-training run, a one-point fine-tuning run (two more tensors) and a period adaptation run, as
+    closures of a seed and the parameters they start from."""
     from tempolm.annotate import annotate_document
     from tempolm.corpus import build_entity_calendar, derive_corpus_span
     from tempolm.encoder import EncoderConfig
     from tempolm.finetune import _train_one, instance_ids
+    from tempolm.semchange import adapt_mlm
     from tempolm.timescale import Granularity
     from tempolm.vocab import build_vocab
 
@@ -328,15 +367,18 @@ def _tiny_runs():
     train_ids = [instance_ids(vocab, e["text"], config.max_len) for e in events]
     golds = [i % 2 for i in range(len(events))]
 
-    def pretrain_run(seed: int):
+    def pretrain_run(seed: int, params=None):
         settings = PretrainSettings(objectives=frozenset(Objective), seed=seed, steps=2, batch_size=8, lr=1e-3)
-        params, _, logs = pretrain(docs, vocab, config, settings, span=span, calendar=calendar)
+        params, _, logs = pretrain(docs, vocab, config, settings, span=span, calendar=calendar, params=params)
         return params, [log.loss for log in logs]
 
     def finetune_run(seed: int, base):
         return _train_one(base, config, train_ids, golds, 2, 16, 1e-3, 1, seed), []
 
-    return pretrain_run, finetune_run
+    def adapt_run(seed: int, params):
+        return adapt_mlm(params, config, vocab, [r["text"] for r in records[:4]], lr=1e-3, seed=seed), []
+
+    return pretrain_run, finetune_run, adapt_run
 
 
 def _fingerprint(run) -> tuple:
@@ -344,59 +386,110 @@ def _fingerprint(run) -> tuple:
     return tuple((k, v.tobytes()) for k, v in sorted(params.items())), np.asarray(losses).tobytes()
 
 
-def _vm_rss_kib(pid: int) -> int:
+def _status_kib(pid, field: str) -> int:
     for line in Path(f"/proc/{pid}/status").read_text(encoding="utf-8").splitlines():
-        if line.startswith("VmRSS:"):
+        if line.startswith(f"{field}:"):
             return int(line.split()[1])
-    raise AssertionError(f"no VmRSS for process {pid}")
+    raise AssertionError(f"no {field} for process {pid}")
 
 
 def _open_fds() -> int:
-    gc.collect()  # mappings that only a reference cycle still holds keep their descriptor until collected
+    gc.collect()  # objects that only a reference cycle still holds keep their descriptor until collected
     return len(os.listdir("/proc/self/fd"))
 
 
-def _memfds(pid: int) -> tuple[int, int]:
-    """Process ``pid``'s open memfd descriptors, and its distinct memfd mappings (one per inode)."""
-    fds = sum(os.readlink(f"/proc/{pid}/fd/{fd}").startswith("/memfd:") for fd in os.listdir(f"/proc/{pid}/fd"))
+def _shared_mappings(pid: int) -> int:
+    """Process ``pid``'s writable shared mappings."""
     lines = Path(f"/proc/{pid}/maps").read_text(encoding="utf-8").splitlines()
-    return fds, len({line.split()[4] for line in lines if "/memfd:" in line})
+    return sum(line.split()[1] == "rw-s" for line in lines)
 
 
 @needs_two_cpus
-def test_one_worker_serves_runs_of_different_parameter_counts(one_blas_thread, monkeypatch):
-    starts = []
+def test_forks_are_one_plus_the_arena_growths(one_blas_thread, monkeypatch):
+    """Runs of different parameter counts share one worker, forked again only when a run grows the arena; what ran
+    earlier in the session decides whether the first run grows it, before any worker."""
+    gc.collect()  # an arena that only a reference cycle keeps would be inherited at the fork
+    starts, grown = [], []
     start = packworker._start
     monkeypatch.setattr(packworker, "_start", lambda: (starts.append(1), start()))
-    pretrain_run, finetune_run = _tiny_runs()
+    pretrain_run, finetune_run, _ = _tiny_runs()
+
+    def run(fn, *args):  # holds no reference to the arena, which a fork would inherit
+        size = len(packworker.arena)
+        out = fn(*args)
+        grown.append(len(packworker.arena) > size)
+        return out
 
     def three_runs() -> list[tuple]:
-        first = pretrain_run(1)
-        return [_fingerprint(first), _fingerprint(finetune_run(1, first[0])), _fingerprint(pretrain_run(2))]
+        first = run(pretrain_run, 1)
+        return [_fingerprint(first), _fingerprint(run(finetune_run, 1, first[0])), _fingerprint(run(pretrain_run, 2))]
 
     with_worker = three_runs()
-    assert starts == [1]
+    assert len(starts) == 1 + sum(grown[1:])
     usable = packworker.usable
     monkeypatch.setattr(packworker, "usable", lambda: False)
     assert three_runs() == with_worker
     monkeypatch.setattr(packworker, "usable", usable)
 
-    # runs 1 and 2 on the worker, then 20 more: the worker unmaps each run's buffers and no descriptor leaks
+    # runs 1 and 2 on the worker, then 20 more: the worker maps one arena, and no descriptor leaks
     base, _ = pretrain_run(1)
     finetune_run(1, base)
     child = packworker._proc.pid
-    rss, fds = _vm_rss_kib(child), _open_fds()
+    rss, fds = _status_kib(child, "VmRSS"), _open_fds()
     for i in range(20):
         if i % 2:
             pretrain_run(3 + i)
         else:
             finetune_run(3 + i, base)
-        assert abs(_vm_rss_kib(child) - rss) < 5 * 1024
+        assert abs(_status_kib(child, "VmRSS") - rss) < 5 * 1024
     assert _open_fds() <= fds
-    # the worker closed the descriptors it inherited: each memfd it holds open backs one of its mappings
-    held, mapped = _memfds(child)
-    assert held <= mapped
-    assert packworker._proc.pid == child and starts == [1]
+    assert _shared_mappings(child) == 1
+    assert packworker._proc.pid == child and len(starts) == 1 + sum(grown[1:4])
+
+
+@needs_two_cpus
+def test_runs_hand_back_weights_outside_the_arena(one_blas_thread):
+    """What pre-training, fine-tuning and period adaptation return, and every entry of a dict passed in, is a copy:
+    the next run's claim cannot change it."""
+    pretrain_run, finetune_run, adapt_run = _tiny_runs()
+
+    def outside(params) -> bool:
+        arena = np.frombuffer(packworker.arena, np.uint8)
+        return not any(np.shares_memory(v, arena) for v in params.values())
+
+    base, _ = pretrain_run(1)
+    passed = dict(base)
+    assert outside(base) and outside(pretrain_run(2, passed)[0]) and outside(passed)
+    assert outside(finetune_run(1, base)[0]) and outside(base)
+    passed = dict(base)
+    assert outside(adapt_run(1, passed)[0]) and outside(passed)
+    kept = {k: v.copy() for k, v in passed.items()}
+    pretrain_run(3)
+    assert all(passed[k].tobytes() == kept[k].tobytes() for k in kept)
+
+
+_KEEP_PAST_EXIT = (
+    "import numpy as np\n"
+    "from tempolm import packworker\n"
+    "from tempolm.autodiff import Var\n"
+    "from tempolm.optim import AdamW\n"
+    "from tempolm.pretrain import train_step\n"
+    "def pack(pvars):\n"
+    "    p = pvars['a']\n"
+    "    return Var(np.asarray(1.0, dtype=np.float32), (p,), lambda g: (np.ones(3, dtype=np.float32),)), {}\n"
+    "params = {'a': np.zeros(3, dtype=np.float32)}\n"
+    "np.optimizer = AdamW(params, lr=0.1)  # outlives the modules it was made with\n"
+    "train_step(params, np.optimizer, 0, [pack, pack])\n"
+    "assert packworker._proc is not None\n"
+)
+
+
+@needs_two_cpus
+def test_an_optimizer_kept_to_interpreter_exit_prints_nothing():
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", _KEEP_PAST_EXIT], env=env, capture_output=True, text=True,
+                          timeout=60, check=False)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 @needs_two_cpus

@@ -1,4 +1,5 @@
 import os
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +30,16 @@ from tempolm.pretrain import PretrainSettings, _example_stream, _has_targets, pa
 from tempolm.synth import generate_corpus, generate_event_instances
 from tempolm.timescale import CorpusSpan, Granularity, TimeLabel, TimePoint
 from tempolm.vocab import build_vocab
+
+
+PARENT = os.getpid()
+
+
+def _slow_in_the_worker(*args):
+    """``pack_loss``, 50 ms slower in the pack worker, so the parent waits for the worker in every step."""
+    if os.getpid() != PARENT:
+        time.sleep(0.05)
+    return pack_loss(*args)
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +103,7 @@ def test_pretrain_builds_each_example_once(tiny_setup, monkeypatch, parallel):
     calls = []
     build = pretrain_module.build_training_example
     monkeypatch.setattr(pretrain_module, "build_training_example", lambda *a, **k: (calls.append(1), build(*a, **k))[1])
+    monkeypatch.setattr(pretrain_module, "pack_loss", _slow_in_the_worker)
     settings = PretrainSettings(objectives=frozenset(Objective), seed=2, steps=3, batch_size=8, grad_accum=2, lr=1e-3)
     pretrain(docs, vocab, config, settings, span=span, calendar=calendar)
     assert len(calls) == 3 * 8 * 2
